@@ -213,14 +213,19 @@ let branch_arg =
 
 let config_term =
   let make optimistic renaming window fu branch =
-    {
-      Config.default with
-      syscall_stall = not optimistic;
-      renaming;
-      window;
-      fu = { Config.unlimited_fu with total = fu };
-      branch;
-    }
+    let config =
+      {
+        Config.default with
+        syscall_stall = not optimistic;
+        renaming;
+        window;
+        fu = { Config.unlimited_fu with total = fu };
+        branch;
+      }
+    in
+    match Config.validate config with
+    | Ok () -> config
+    | Error msg -> die "bad analysis configuration: %s" msg
   in
   Term.(
     const make $ optimistic_arg $ renaming_arg $ window_arg $ fu_arg

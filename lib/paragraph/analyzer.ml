@@ -63,7 +63,11 @@ type t = {
   mutable num_ids : int;
 }
 
+(* every analyzer entry point rejects out-of-range switches up front *)
+let check_config config = Result.iter_error invalid_arg (Config.validate config)
+
 let create_sized ~live_well_capacity (config : Config.t) =
+  check_config config;
   let resources = Resources.create config.fu in
   let predictor = Branch_pred.create config.branch in
   {
@@ -1008,6 +1012,8 @@ let analyze_stream ?verify ?window config path =
   stats
 
 let analyze_many ?max_domains configs trace =
+  (* before any group starts, so no worker domain raises mid-run *)
+  List.iter check_config configs;
   match configs with
   | [] -> []
   | [ config ] -> [ analyze config trace ]

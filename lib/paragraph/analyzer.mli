@@ -55,6 +55,9 @@ type stats = {
 type t
 
 val create : Config.t -> t
+(** @raise Invalid_argument when {!Config.validate} rejects the
+    configuration, as does every [analyze] entry point below. *)
+
 val feed : t -> Ddg_sim.Trace.event -> unit
 
 val evict : t -> Ddg_isa.Loc.t -> unit

@@ -44,6 +44,29 @@ let with_syscall_stall syscall_stall t = { t with syscall_stall }
 let with_fu fu t = { t with fu }
 let with_branch branch t = { t with branch }
 
+let validate t =
+  let limit what = function
+    | Some k when k < 1 -> [ Printf.sprintf "%s must be >= 1 (got %d)" what k ]
+    | Some _ | None -> []
+  in
+  let latency cls =
+    let k = t.latency cls in
+    if k >= 1 then []
+    else
+      [ Printf.sprintf "%s latency must be >= 1 (got %d)"
+          (Ddg_isa.Opclass.to_string cls) k ]
+  in
+  match
+    limit "window" t.window
+    @ limit "total FU limit" t.fu.total
+    @ limit "int FU limit" t.fu.int_units
+    @ limit "fp FU limit" t.fu.fp_units
+    @ limit "mem FU limit" t.fu.mem_units
+    @ List.concat_map latency Ddg_isa.Opclass.all
+  with
+  | [] -> Ok ()
+  | problem :: _ -> Error problem
+
 let latency_table t =
   Array.init Ddg_isa.Opclass.count (fun tag ->
       t.latency (Ddg_isa.Opclass.of_tag tag))

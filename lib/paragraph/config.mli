@@ -79,6 +79,13 @@ val with_syscall_stall : bool -> t -> t
 val with_fu : fu_limits -> t -> t
 val with_branch : branch_policy -> t -> t
 
+val validate : t -> (unit, string) result
+(** [Ok ()] when every switch is in range: a window of at least 1, every
+    functional-unit limit at least 1, every operation latency at least 1.
+    [Error msg] names the first switch out of range. The analyzers and
+    {!Ddg.build} reject such a configuration with [Invalid_argument]; the
+    protocol and the CLI check it where a configuration enters. *)
+
 val latency_table : t -> int array
 (** The latency function tabulated by operation-class tag
     ({!Ddg_isa.Opclass.to_tag}), for the analyzer's flat-integer hot

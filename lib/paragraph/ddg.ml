@@ -222,6 +222,7 @@ let feed b trace_index (e : Ddg_sim.Trace.event) =
       window_admit b level (b.next_id - 1)
 
 let build config trace =
+  Result.iter_error invalid_arg (Config.validate config);
   let b =
     {
       config;

@@ -31,6 +31,8 @@ type edge = { from_node : int; to_node : int; kind : edge_kind }
 type t
 
 val build : Config.t -> Ddg_sim.Trace.t -> t
+(** @raise Invalid_argument when {!Config.validate} rejects the
+    configuration. *)
 
 val nodes : t -> node array
 val edges : t -> edge list

@@ -511,6 +511,7 @@ let stitch ~syscall_stall ~num_locs ~events results =
 (* --- driver ----------------------------------------------------------------- *)
 
 let analyze_ext ?(exec = sequential_exec) ?(segments = 1) config trace =
+  Result.iter_error invalid_arg (Config.validate config);
   let n = Ddg_sim.Trace.length trace in
   let k = min segments n in
   if k <= 1 || not (supported config) then

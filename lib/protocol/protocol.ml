@@ -298,14 +298,19 @@ let c_config c : Ddg_paragraph.Config.t =
     fail "latency table has %d entries (this build has %d classes)" n
       Ddg_isa.Opclass.count;
   let table = Array.init n (fun _ -> c_varint c) in
-  {
-    Ddg_paragraph.Config.syscall_stall;
-    renaming = { Ddg_paragraph.Config.registers; stack; data };
-    window;
-    latency = (fun cls -> table.(Ddg_isa.Opclass.to_tag cls));
-    fu = { Ddg_paragraph.Config.total; int_units; fp_units; mem_units };
-    branch;
-  }
+  let config =
+    {
+      Ddg_paragraph.Config.syscall_stall;
+      renaming = { Ddg_paragraph.Config.registers; stack; data };
+      window;
+      latency = (fun cls -> table.(Ddg_isa.Opclass.to_tag cls));
+      fu = { Ddg_paragraph.Config.total; int_units; fp_units; mem_units };
+      branch;
+    }
+  in
+  match Ddg_paragraph.Config.validate config with
+  | Ok () -> config
+  | Error msg -> fail "bad analysis configuration: %s" msg
 
 (* --- requests, responses, errors -------------------------------------------- *)
 

@@ -7,6 +7,7 @@ let () =
       ("optimize", Test_optimize.tests);
       ("fuzz", Test_fuzz.tests);
       ("paragraph", Test_paragraph.tests);
+      ("resources", Test_resources.tests);
       ("workloads", Test_workloads.tests);
       ("report", Test_report.tests);
       ("experiments", Test_experiments.tests);

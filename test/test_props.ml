@@ -98,6 +98,14 @@ let gen_config =
   let* syscall_stall = bool in
   let* window = oneofl [ None; Some 1; Some 2; Some 5; Some 16; Some 64 ] in
   let* total_fu = oneofl [ None; Some 1; Some 2; Some 4 ] in
+  (* class pools, alone or under the total; half the draws leave them
+     unlimited so plain and total-only configurations stay common *)
+  let class_limit = oneofl [ None; Some 1; Some 2; Some 3 ] in
+  let* int_units, fp_units, mem_units =
+    frequency
+      [ (1, return (None, None, None));
+        (1, triple class_limit class_limit class_limit) ]
+  in
   let* branch =
     oneofl
       [ Config.Perfect; Config.Predict_taken; Config.Predict_not_taken;
@@ -109,7 +117,7 @@ let gen_config =
       renaming = { Config.registers; stack; data };
       syscall_stall;
       window;
-      fu = { Config.unlimited_fu with total = total_fu };
+      fu = { Config.total = total_fu; int_units; fp_units; mem_units };
       branch;
     }
 

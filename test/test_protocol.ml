@@ -193,6 +193,23 @@ let test_truncation_rejected () =
       (fun () -> Protocol.frame_of_string (String.sub bytes 0 n))
   done
 
+let test_bad_config_rejected () =
+  (* a configuration the analyzer would refuse is a malformed request:
+     it encodes, but decoding it is a typed rejection on every verb that
+     carries one *)
+  let frame request =
+    Protocol.frame_to_string
+      (Request { deadline_ms = 0; attempt = 0; request })
+  in
+  List.iter
+    (fun (name, config) ->
+      let analyze = frame (Analyze { workload = "mtxx"; config }) in
+      let advise = frame (Advise { workload = "mtxx"; config }) in
+      expect_rejected name (fun () -> Protocol.frame_of_string analyze);
+      expect_rejected (name ^ " (advise)") (fun () ->
+          Protocol.frame_of_string advise))
+    Test_resources.zero_configs
+
 let test_metrics_truncation_rejected () =
   (* the v3 metrics codec has its own bounds (metric counts, label
      counts, sparse bucket indices): every prefix must die typed *)
@@ -423,6 +440,8 @@ let tests =
       test_analyzed_stats_survive;
     Alcotest.test_case "every truncation is rejected" `Quick
       test_truncation_rejected;
+    Alcotest.test_case "out-of-range configs are rejected" `Quick
+      test_bad_config_rejected;
     Alcotest.test_case "metrics snapshot truncations are rejected" `Quick
       test_metrics_truncation_rejected;
     Alcotest.test_case "garbage frames are rejected" `Quick

@@ -136,11 +136,22 @@ let test_warm_repeat_does_no_work () =
 
 let test_busy_backpressure () =
   with_server ~workers:1 ~max_inflight:1 (fun endpoint _server ->
+      (* a probe ping can win the slot first and refuse the blocker
+         itself, so the blocker retries until it holds the slot *)
       let blocker =
         Thread.create
           (fun () ->
             Client.with_connection ~retry_for_s:5.0 endpoint (fun client ->
-                ignore (Client.request client (Protocol.Ping { delay_ms = 1000 }))))
+                let rec hold () =
+                  match
+                    Client.request client (Protocol.Ping { delay_ms = 1000 })
+                  with
+                  | (_ : Protocol.response) -> ()
+                  | exception Client.Server_error { code = Protocol.Busy; _ }
+                    ->
+                      hold ()
+                in
+                hold ()))
           ()
       in
       let saw_busy = ref false in
@@ -248,6 +259,32 @@ let test_garbage_gets_bad_frame () =
           match Client.request client (Protocol.Ping { delay_ms = 0 }) with
           | Protocol.Pong -> ()
           | _ -> Alcotest.fail "expected Pong after garbage connection"))
+
+let test_bad_config_gets_bad_frame () =
+  (* a zero FU limit must be refused at decode, never reach a pool
+     worker, and leave the daemon serving *)
+  with_server (fun endpoint _server ->
+      Client.with_connection ~retry_for_s:5.0 endpoint (fun client ->
+          ignore (Client.request client (Protocol.Ping { delay_ms = 0 })));
+      raw_connection endpoint (fun ic oc ->
+          Protocol.write_frame oc
+            (Hello { protocol = Protocol.version; software = "t"; node = "" });
+          ignore (Protocol.read_frame ic);
+          let fu = { Ddg_paragraph.Config.unlimited_fu with total = Some 0 } in
+          Protocol.write_frame oc
+            (Request
+               { deadline_ms = 0; attempt = 0;
+                 request =
+                   Analyze
+                     { workload = "mtxx";
+                       config = Ddg_paragraph.Config.(with_fu fu default) } });
+          match Protocol.read_frame ic with
+          | Protocol.Error_response { code = Protocol.Bad_frame; _ } -> ()
+          | _ -> Alcotest.fail "expected a Bad_frame error frame");
+      Client.with_connection ~retry_for_s:5.0 endpoint (fun client ->
+          match Client.request client (Protocol.Ping { delay_ms = 0 }) with
+          | Protocol.Pong -> ()
+          | _ -> Alcotest.fail "expected Pong after a rejected config"))
 
 let test_protocol_version_mismatch () =
   with_server (fun endpoint _server ->
@@ -412,6 +449,8 @@ let tests =
     Alcotest.test_case "deadline exceeded" `Quick test_deadline_exceeded;
     Alcotest.test_case "garbage frame gets typed error" `Quick
       test_garbage_gets_bad_frame;
+    Alcotest.test_case "out-of-range config gets typed error" `Quick
+      test_bad_config_gets_bad_frame;
     Alcotest.test_case "protocol version mismatch refused" `Quick
       test_protocol_version_mismatch;
     Alcotest.test_case "survives disconnect mid-request" `Quick
