@@ -1174,8 +1174,9 @@ let cluster_cmd =
           ~doc:
             "Anti-entropy scrub pace: each backend re-verifies its store \
              in the background at $(docv) artifacts per second, repairing \
-             corruption from peers and re-replicating keys whose ring \
-             owner changed. 0 disables scrubbing.")
+             corruption from peers and asking the ring owner of each \
+             artifact it holds for another node to pull it. 0 disables \
+             scrubbing.")
   in
   let doc =
     "Run a self-healing sharded fleet: fork $(b,--nodes) backend daemons,      each with a private artifact store, and route requests to them over      a consistent-hash ring from a router on the main socket. A backend      serving a key it does not own pulls the owner's artifact into its      own store (fetch-through) instead of recomputing. The router      health-checks backends, circuit-breaks dead ones and re-routes to      ring successors; a supervisor respawns crashed backends with backoff      (decommissioning flapping ones), each backend scrubs its store in      the background, and $(b,client join)/$(b,client drain) change      membership live. $(b,client stats) aggregates and $(b,client      metrics) federates the whole fleet."
@@ -1649,8 +1650,9 @@ let client_join_cmd =
        ~doc:
          "Add a running backend daemon to the cluster ring. The router \
           swaps the ring atomically and broadcasts the new membership; \
-          keys move only to the joiner, which warms up via fetch-through \
-          and scrub. Prints the membership now in force.")
+          keys move only to the joiner, which copies nothing up front: it \
+          computes the keys it now owns until the scrubs of their old \
+          holders ask it to pull them. Prints the membership now in force.")
     Term.(
       const run $ client_endpoint_term $ retry_arg $ connect_timeout_ms_arg
       $ retry_policy_term $ deadline_ms_arg $ node $ backend_endpoint)
@@ -1672,10 +1674,11 @@ let client_drain_cmd =
   Cmd.v
     (Cmd.info "drain"
        ~doc:
-         "Decommission a cluster backend: the router migrates its \
-          artifacts to their new ring owners (digest-checked), swaps the \
-          ring, broadcasts the new membership, and tells the node to \
-          drain and exit. Prints the membership now in force.")
+         "Decommission a cluster backend: the router has each of its \
+          artifacts pulled by its new ring owner (streamed, \
+          digest-checked), swaps the ring, broadcasts the new membership, \
+          and tells the node to drain and exit. Prints the membership now \
+          in force.")
     Term.(
       const run $ client_endpoint_term $ retry_arg $ connect_timeout_ms_arg
       $ retry_policy_term $ deadline_ms_arg $ node)

@@ -78,130 +78,115 @@ let view_update v pairs =
 (* flip one payload bit so the importer's digest check must fire; the
    last byte is always content, never the artifact magic *)
 let corrupt bytes =
-  if String.length bytes = 0 then bytes
-  else begin
-    let b = Bytes.of_string bytes in
-    let last = Bytes.length b - 1 in
-    Bytes.set b last (Char.chr (Char.code (Bytes.get b last) lxor 1));
-    Bytes.to_string b
-  end
+  let b = Bytes.of_string bytes in
+  let last = Bytes.length b - 1 in
+  Bytes.set b last (Char.chr (Char.code (Bytes.get b last) lxor 1));
+  Bytes.to_string b
 
-(* chunked pull (protocol v7): an artifact too large for one [Forward]
-   frame is fetched as [Forward_range] slices on one connection until
-   the peer's reported total is assembled. The importer's digest check
-   validates the reassembly end to end, so a short or shuffled chunk
-   can never install a bad artifact. *)
+(* The one artifact-transfer path. Fetch-through, scrub repair and the
+   [pull] verb all copy an artifact by requesting [Forward_range]
+   slices on one connection, each written straight into the store's
+   import temp file — a small artifact is just one slice, and a pull
+   holds at most one slice in the heap whatever the artifact's size.
+   [Store.import]'s header, length and digest check is the only
+   acceptance gate, and a pull that fails midway leaves nothing
+   behind. Fault sites: [cluster.forward.fail] fails the pull as if
+   the peer were unreachable, [cluster.fetch.corrupt] flips a byte of
+   the final slice, which the digest check must reject. *)
 let range_chunk_bytes = 8 * 1024 * 1024
-let max_ranged_bytes = 1 lsl 32 (* refuse absurd totals before buffering *)
+let max_ranged_bytes = 1 lsl 32 (* refuse absurd totals before writing *)
 
-let fetch_ranged ~connect_timeout_s endpoint ~kind ~key =
-  try
-    Client.with_connection ~connect_timeout_s endpoint (fun c ->
-        let buf = Buffer.create range_chunk_bytes in
-        let rec pull offset =
-          match
-            Client.request c
-              (Protocol.Forward_range
-                 { kind; key; offset; length = range_chunk_bytes })
-          with
-          | Protocol.Fetched_range { total; data } ->
-              if total <= 0 || total > max_ranged_bytes then None
-              else begin
-                Buffer.add_string buf data;
-                let got = offset + String.length data in
-                if got >= total then Some (Buffer.contents buf)
-                else if String.length data = 0 then None (* no progress *)
-                else pull got
-              end
-          | _ -> None
-        in
-        pull 0)
-  with _ -> None
+let pull ~connect_timeout_s store endpoint ~kind ~key =
+  let slices c oc =
+    let rec go offset =
+      match
+        Client.request c
+          (Protocol.Forward_range
+             { kind; key; offset; length = range_chunk_bytes })
+      with
+      | Protocol.Fetched_range { total; data }
+        when total > 0 && total <= max_ranged_bytes && data <> "" ->
+          let got = offset + String.length data in
+          let last = got >= total in
+          output_string oc
+            (if last && Fault.fire "cluster.fetch.corrupt" then corrupt data
+             else data);
+          if not last then go got
+      | _ -> failwith "empty or implausible slice"
+    in
+    go 0
+  in
+  if Fault.fire "cluster.forward.fail" then Error "unreachable (fault-injected)"
+  else
+    match
+      Client.with_connection ~connect_timeout_s endpoint (fun c ->
+          Store.import store (slices c))
+    with
+    | Some (k, k') when k = kind && k' = key -> Ok ()
+    | Some _ | None -> Error "rejected on import"
+    | exception e -> Error (Printexc.to_string e)
 
-let fetch_hook ~view:v ~connect_timeout_s ?(log = ignore) store ~kind ~key =
+let fetch_hook ~view:v ~connect_timeout_s ~log store ~kind ~key =
   let ring, peers, _ = view_snapshot v in
   let owner = Ring.owner ring (Route.of_store_key key) in
-  if owner = v.v_self then false
-  else
-    match List.assoc_opt owner peers with
-    | None -> false
-    | Some endpoint -> (
-        Obs.incr fetches_total;
-        if Fault.fire "cluster.forward.fail" then false
-        else
-          let import_bytes bytes =
-            let bytes =
-              if Fault.fire "cluster.fetch.corrupt" then corrupt bytes
-              else bytes
-            in
-            match Store.import store bytes with
-            | Some (k, k') when k = kind && k' = key ->
-                Obs.incr fetch_hits_total;
-                log
-                  (Printf.sprintf "fetched %s %s from %s (%d bytes)" kind key
-                     owner (String.length bytes));
-                true
-            | Some _ | None ->
-                log
-                  (Printf.sprintf
-                     "fetch of %s %s from %s rejected on import; recomputing"
-                     kind key owner);
-                false
-          in
-          match
-            Client.with_connection ~connect_timeout_s endpoint (fun c ->
-                Client.request c (Protocol.Forward { kind; key }))
-          with
-          | Fetched { data = Some bytes } -> import_bytes bytes
-          | Fetched { data = None } -> (
-              (* absent, or too large for one frame: try the chunked path *)
-              match fetch_ranged ~connect_timeout_s endpoint ~kind ~key with
-              | Some bytes -> import_bytes bytes
-              | None -> false)
-          | _ -> false
-          | exception _ ->
-              log
-                (Printf.sprintf "fetch of %s %s from %s failed; recomputing"
-                   kind key owner);
-              false)
+  (* [peers] excludes this node: a key it owns itself is recomputed *)
+  match List.assoc_opt owner peers with
+  | None -> false
+  | Some endpoint -> (
+      Obs.incr fetches_total;
+      match pull ~connect_timeout_s store endpoint ~kind ~key with
+      | Ok () ->
+          Obs.incr fetch_hits_total;
+          log (Printf.sprintf "fetched %s %s from %s" kind key owner);
+          true
+      | Error reason ->
+          log
+            (Printf.sprintf "fetch of %s %s from %s failed (%s); recomputing"
+               kind key owner reason);
+          false)
+
+(* the [pull] verb: copy one artifact from the named peer, unless a
+   verified copy is already here *)
+let pull_verb ~view:v ~connect_timeout_s ~log store ~kind ~key ~source =
+  let _, peers, _ = view_snapshot v in
+  match List.assoc_opt source peers with
+  | None ->
+      Error
+        { Protocol.code = Unknown_node;
+          message = Printf.sprintf "%S is not a peer of %s" source v.v_self }
+  | Some _ when Store.verify store ~kind ~key = `Ok -> Ok ()
+  | Some endpoint -> (
+      match pull ~connect_timeout_s store endpoint ~kind ~key with
+      | Ok () ->
+          log (Printf.sprintf "pulled %s %s from %s" kind key source);
+          Ok ()
+      | Error reason ->
+          Error
+            { Protocol.code = Internal;
+              message =
+                Printf.sprintf "pull of %s %s from %s failed: %s" kind key
+                  source reason })
 
 (* --- anti-entropy scrub ----------------------------------------------------- *)
 
-(* pull one artifact back from the first live holder in ring order
-   (owner first, then successors) — the scrub's repair path after a
+(* pull one artifact back from the first holder in ring order (owner
+   first, then successors) — the scrub's repair path after a
    quarantine *)
 let refetch ~view:v ~connect_timeout_s store ~kind ~key =
   let ring, peers, _ = view_snapshot v in
-  let rec go = function
-    | [] -> false
-    | node :: rest -> (
-        match List.assoc_opt node peers with
-        | None -> go rest
-        | Some endpoint -> (
-            match
-              Client.with_connection ~connect_timeout_s endpoint (fun c ->
-                  Client.request c (Protocol.Forward { kind; key }))
-            with
-            | Protocol.Fetched { data = Some bytes } -> (
-                match Store.import store bytes with
-                | Some (k, k') when k = kind && k' = key -> true
-                | Some _ | None -> go rest)
-            | Protocol.Fetched { data = None } -> (
-                match fetch_ranged ~connect_timeout_s endpoint ~kind ~key with
-                | Some bytes -> (
-                    match Store.import store bytes with
-                    | Some (k, k') when k = kind && k' = key -> true
-                    | Some _ | None -> go rest)
-                | None -> go rest)
-            | _ -> go rest
-            | exception _ -> go rest))
-  in
-  go (Ring.successors ring (Route.of_store_key key))
+  List.exists
+    (fun node ->
+      match List.assoc_opt node peers with
+      | None -> false
+      | Some endpoint ->
+          Result.is_ok (pull ~connect_timeout_s store endpoint ~kind ~key))
+    (Ring.successors ring (Route.of_store_key key))
 
 (* one artifact's scrub: verify in place; a quarantine re-fetches the
-   good copy from a peer, a key whose ring owner changed since the
-   last membership generation is pushed to that owner *)
-let scrub_one ~view:v ~connect_timeout_s ~log ~pushed store ~kind ~key =
+   good copy from a peer, and a key whose ring owner is a peer asks
+   that owner to pull it — one attempt per membership generation (a
+   failed request raises, and the caller logs it) *)
+let scrub_one ~view:v ~connect_timeout_s ~log ~asked store ~kind ~key =
   match Store.verify store ~kind ~key with
   | `Missing -> ()
   | `Quarantined ->
@@ -213,53 +198,45 @@ let scrub_one ~view:v ~connect_timeout_s ~log ~pushed store ~kind ~key =
   | `Ok -> (
       let ring, peers, generation = view_snapshot v in
       let owner = Ring.owner ring (Route.of_store_key key) in
-      if
-        owner <> v.v_self
-        && Hashtbl.find_opt pushed (kind, key) <> Some generation
-      then
-        match List.assoc_opt owner peers with
-        | None -> ()
-        | Some endpoint -> (
-            match Store.export store ~kind ~key with
-            | None -> ()
-            | Some bytes -> (
-                match
-                  Client.with_connection ~connect_timeout_s endpoint (fun c ->
-                      Client.request c (Protocol.Replicate { data = bytes }))
-                with
-                | Protocol.Replicated _ ->
-                    (* once per generation: the owner now holds a copy;
-                       a later membership change re-arms the push *)
-                    Hashtbl.replace pushed (kind, key) generation;
-                    Obs.incr scrub_repairs_total;
-                    log
-                      (Printf.sprintf "scrub: pushed %s %s to owner %s" kind
-                         key owner)
-                | _ -> ()
-                | exception _ -> ())))
+      match List.assoc_opt owner peers with
+      | Some endpoint when Hashtbl.find_opt asked (kind, key) <> Some generation
+        -> (
+          (* a later membership change re-arms the request *)
+          Hashtbl.replace asked (kind, key) generation;
+          match
+            Client.with_connection ~connect_timeout_s endpoint (fun c ->
+                Client.request c
+                  (Protocol.Pull { kind; key; source = v.v_self }))
+          with
+          | Protocol.Pulled _ ->
+              Obs.incr scrub_repairs_total;
+              log
+                (Printf.sprintf "scrub: owner %s pulled %s %s" owner kind key)
+          | _ -> ())
+      | Some _ | None -> ())
 
 type scrubber = { sc_stop : bool ref; sc_thread : Thread.t }
 
-let start_scrub ?(rate = 200.0) ?(burst = 20) ?(pause_s = 0.05)
-    ?(connect_timeout_s = 1.0) ?(log = ignore) ~view:v store =
+let scrub_burst = 20
+let scrub_pause_s = 0.05
+
+let start_scrub ~rate ~connect_timeout_s ~log ~view:v store =
   if rate <= 0.0 then invalid_arg "Fleet.start_scrub: rate <= 0";
-  if burst < 1 then invalid_arg "Fleet.start_scrub: burst < 1";
   let stop = ref false in
-  let pushed : (string * string, int) Hashtbl.t = Hashtbl.create 64 in
+  let asked : (string * string, int) Hashtbl.t = Hashtbl.create 64 in
   let thread =
     Thread.create
       (fun () ->
         (* token bucket: one token per artifact, [rate] tokens/s, at
-           most [burst] banked — an idle store never buys the scrub a
-           burst past the cap *)
-        let tokens = ref (float_of_int burst) in
+           most [scrub_burst] banked — an idle store never buys the
+           scrub a burst past the cap *)
+        let burst = float_of_int scrub_burst in
+        let tokens = ref burst in
         let last = ref (Unix.gettimeofday ()) in
         let rec take () =
           if not !stop then begin
             let now = Unix.gettimeofday () in
-            tokens :=
-              Float.min (float_of_int burst)
-                (!tokens +. ((now -. !last) *. rate));
+            tokens := Float.min burst (!tokens +. ((now -. !last) *. rate));
             last := now;
             if !tokens >= 1.0 then tokens := !tokens -. 1.0
             else begin
@@ -275,12 +252,15 @@ let start_scrub ?(rate = 200.0) ?(burst = 20) ?(pause_s = 0.05)
                   if not !stop then begin
                     take ();
                     try
-                      scrub_one ~view:v ~connect_timeout_s ~log ~pushed store
+                      scrub_one ~view:v ~connect_timeout_s ~log ~asked store
                         ~kind ~key
-                    with _ -> ()
+                    with e ->
+                      log
+                        (Printf.sprintf "scrub: %s %s: %s" kind key
+                           (Printexc.to_string e))
                   end)
                 (Store.entries store));
-          if not !stop then Thread.delay pause_s
+          if not !stop then Thread.delay scrub_pause_s
         done)
       ()
   in
@@ -320,7 +300,8 @@ let backend ?vnodes ?workers ?trace_budget ?max_inflight ?default_deadline_s
               view_update v pairs;
               log
                 (Printf.sprintf "membership now [%s]"
-                   (String.concat " " (List.map fst pairs)))) }
+                   (String.concat " " (List.map fst pairs))));
+          pull = pull_verb ~view:v ~connect_timeout_s ~log store }
       ?workers ?max_inflight ?default_deadline_s ~log [ self.endpoint ]
   in
   let scrubber =

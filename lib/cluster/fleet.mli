@@ -3,16 +3,25 @@
     membership, anti-entropy scrubbing and crash supervision.
 
     Each backend owns a private artifact store and announces its ring
-    identity in the protocol handshake. A runner store miss first asks
-    the ring: if another node owns the key's routing key, the backend
-    pulls the verified artifact over the wire ([forward] verb) and
-    {!Ddg_store.Store.import}s it — checksummed end to end, so a
-    corrupted transfer quarantines nothing and simply falls back to
-    recomputing locally. Misses on keys the backend itself owns (or
-    any fetch failure) recompute as before; replication is an
-    optimisation, never a correctness dependency.
+    identity in the protocol handshake. Artifacts move between nodes
+    one way only: a {e pull}, which requests [forward-range] slices of
+    the artifact on one connection and streams each straight into
+    {!Ddg_store.Store.import} — checksummed end to end, so a corrupted
+    or interrupted transfer installs nothing, and at most one slice is
+    held in memory whatever the artifact's size. Three callers share
+    it:
+    - fetch-through: a runner store miss on a key another node owns
+      pulls the artifact from that ring owner; misses on keys the
+      backend owns itself (or any failed pull) recompute as before, so
+      replication is an optimisation, never a correctness dependency;
+    - the [pull] verb: a router draining a node, or a peer's scrub,
+      asks this backend to pull an artifact from a named peer;
+    - the anti-entropy scrub, which re-verifies the store under a token
+      bucket, re-pulls a quarantined artifact from the first holder in
+      ring order, and asks the ring owner of each intact artifact it
+      does not own to pull it, once per membership generation.
 
-    Membership is live: the backend's {!view} of the ring is swapped
+    Membership is live: each backend's view of the ring is swapped
     atomically whenever a router broadcasts a [ring-update], so
     fetch-through, [locate] answers and the scrub all re-aim at the
     new ring without a restart.
@@ -36,71 +45,13 @@ val members :
     [<base_socket>.<id>], store [<base_store>/<id>].
     @raise Invalid_argument when [nodes < 1]. *)
 
-(** {2 Live membership} *)
-
 type view
 (** One backend's mutable, mutex-guarded view of the fleet: the ring,
     the peer endpoints and a generation counter bumped on every
-    update. Shared by the fetch hook, the [locate] answer and the
-    scrub. *)
-
-val view : ?vnodes:int -> self:string -> members:member list -> unit -> view
-(** The initial view: a ring over [members] with [self]'s peers. *)
-
-val view_update : view -> (string * string) list -> unit
-(** Replace the membership from a [ring-update]'s (node id, endpoint
-    string) pairs — the backend half of a membership change. Pairs
-    whose endpoint fails {!Ddg_server.Server.endpoint_of_string} are
-    dropped; an update with no parseable member is ignored (a fleet
-    cannot broadcast itself out of existence). Bumps the generation. *)
-
-val fetch_hook :
-  view:view ->
-  connect_timeout_s:float ->
-  ?log:(string -> unit) ->
-  Ddg_store.Store.t ->
-  kind:string ->
-  key:string ->
-  bool
-(** The {!Ddg_experiments.Runner.set_fetch} hook for one backend:
-    derive the routing key ({!Route.of_store_key}), look up the ring
-    owner in the current {!view}, and when it is a peer, pull the
-    artifact with one [forward] round trip and import it into the
-    store. Returns [true] only when the import landed the exact kind
-    and key that was asked for. Fault sites: [cluster.forward.fail]
-    skips the fetch (as if the owner were unreachable),
-    [cluster.fetch.corrupt] flips a byte of the transferred artifact
-    before import — the store's digest check must reject it. *)
-
-(** {2 Anti-entropy scrub} *)
+    membership update. *)
 
 type scrubber
-
-val start_scrub :
-  ?rate:float ->
-  ?burst:int ->
-  ?pause_s:float ->
-  ?connect_timeout_s:float ->
-  ?log:(string -> unit) ->
-  view:view ->
-  Ddg_store.Store.t ->
-  scrubber
-(** A background thread that walks the store's {!Ddg_store.Store.entries}
-    in passes, at most [rate] artifacts/second with bursts capped at
-    [burst] tokens (defaults 200/s, 20), sleeping [pause_s] (default
-    50 ms) between passes. Each artifact is verified in place
-    ({!Ddg_store.Store.verify}): a corrupt one is quarantined and
-    re-fetched from the first live holder in ring order, and a healthy
-    artifact whose ring owner is now a peer is pushed to that owner
-    ([replicate] verb) once per membership generation. Repairs and
-    pushes count in [ddg_scrub_repairs_total]; each pass's duration is
-    recorded in the [ddg_scrub_pass_ns] span. Fault site
-    [store.verify.bitflip] (inside the store) corrupts an artifact
-    just before its check, exercising the repair path.
-    @raise Invalid_argument when [rate <= 0] or [burst < 1]. *)
-
-val stop_scrub : scrubber -> unit
-(** Stop and join the scrub thread (the current artifact finishes). *)
+(** A running anti-entropy scrub thread. *)
 
 (** {2 One backend} *)
 
@@ -127,15 +78,25 @@ val backend :
   unit ->
   backend
 (** Build one member's daemon: store at [self.store_dir], runner with
-    the fetch hook installed, server listening on [self.endpoint] and
-    announcing [self.node], with [locate] and membership updates wired
-    to a fresh {!view}. [scrub_rate] (default none) additionally
-    starts an anti-entropy {!start_scrub} at that rate. Run it with
-    {!Ddg_server.Server.run} (usually on its own thread or in a forked
-    child). *)
+    the fetch-through hook installed, server listening on
+    [self.endpoint] and announcing [self.node], with [locate], [pull]
+    and membership updates wired to a fresh {!view}. [scrub_rate]
+    (default none) additionally starts an anti-entropy scrub that
+    re-verifies at most that many artifacts per second (bursts of up
+    to 20, a 50 ms pause between passes). Repairs and owner pulls
+    count in [ddg_scrub_repairs_total]; each pass's duration lands in
+    the [ddg_scrub_pass_ns] span. Fault sites: [cluster.forward.fail]
+    fails a pull as if its peer were unreachable,
+    [cluster.fetch.corrupt] corrupts a pulled artifact before import
+    (the digest check must reject it), and [store.verify.bitflip]
+    (inside the store) corrupts an artifact just before the scrub
+    checks it. Run the backend with {!Ddg_server.Server.run} (usually
+    on its own thread or in a forked child).
+    @raise Invalid_argument when [scrub_rate <= 0]. *)
 
 val stop_backend : backend -> unit
-(** {!Ddg_server.Server.stop} plus {!stop_scrub} when one is running. *)
+(** {!Ddg_server.Server.stop}, then stop and join the scrub thread when
+    one is running. *)
 
 val fork_backend :
   ?vnodes:int ->

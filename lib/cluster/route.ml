@@ -14,12 +14,10 @@ let of_request ~size (req : Protocol.request) =
   | Protocol.Advise { workload; _ } ->
       Some (workload ^ "/" ^ sz)
   | Protocol.Table { name } -> Some ("table/" ^ name)
-  | Protocol.Forward { kind = _; key } | Protocol.Forward_range { kind = _; key; _ }
-    ->
-      Some (of_store_key key)
+  | Protocol.Forward_range { key; _ } -> Some (of_store_key key)
   | Protocol.Locate { key } -> Some key
   | Protocol.Ping _ | Protocol.Server_stats | Protocol.Fsck
   | Protocol.Metrics | Protocol.Shutdown | Protocol.Join _
   | Protocol.Decommission _ | Protocol.Ring_update _ | Protocol.Store_list
-  | Protocol.Replicate _ ->
+  | Protocol.Pull _ ->
       None

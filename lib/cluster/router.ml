@@ -281,6 +281,12 @@ let dispatch_keyed t sessions ~deadline_ms ~t0 key req =
                            (Protocol.verb_name req) key owner b.node)
                     end;
                     Protocol.Ok_response resp
+                | exception Client.Server_error { code = Shutting_down; _ }
+                  when rest <> [] ->
+                    (* a draining backend takes no new work, but it is
+                       not sick: try the next successor, leave the
+                       breaker alone *)
+                    go rest
                 | exception Client.Server_error err ->
                     (* typed refusal: the backend is alive; relay its
                        answer *)
@@ -382,83 +388,58 @@ let join t ~node ~endpoint =
     t.log
       (Printf.sprintf "join: %s at %s" node
          (Server.endpoint_to_string endpoint));
-    (* keys move only *to* the joiner (the Ring contract); survivors
-       keep serving everything else while the joiner warms up through
-       fetch-through and the scrub re-replicates in the background *)
+    (* keys move only *to* the joiner (the Ring contract), and nothing
+       is migrated: the joiner recomputes a key it now owns until the
+       scrub on an old holder asks it to pull that key (fetch-through
+       never fires for a node's own keys); survivors keep serving
+       everything else *)
     broadcast_membership t
   end;
   members t
 
-(* Migrate the retiring node's artifacts to their new ring owners: pull
-   the verified bytes ([forward]) from the source, push them
-   ([replicate], digest-checked on import) to each key's owner under
-   the post-removal ring. Best-effort: a node decommissioned because it
-   is dead has nothing to export, and the survivors' scrub re-replicates
-   whatever copies exist elsewhere. Returns the artifact count moved. *)
+(* Migrate the retiring node's artifacts to their new ring owners: ask
+   each key's owner under the post-removal ring to [pull] it from the
+   retiree — the same streamed, digest-checked transfer as
+   fetch-through, so artifacts of any size move. A node decommissioned
+   because it is dead has nothing to list; the survivors recompute or
+   fetch whatever copies exist elsewhere. Returns the artifact counts
+   moved and failed. *)
 let migrate t ~from:(b : backend) ~new_ring =
+  let request endpoint req =
+    Client.with_connection ~connect_timeout_s:t.connect_timeout_s endpoint
+      (fun c -> Client.request ~deadline_ms:60_000 c req)
+  in
   match new_ring with
-  | None -> 0
-  | Some ring ->
-      let moved = ref 0 in
-      (try
-         Client.with_connection ~connect_timeout_s:t.connect_timeout_s
-           b.endpoint
-         @@ fun src ->
-         match Client.request ~deadline_ms:10_000 src Protocol.Store_list with
-         | Protocol.Store_listing { entries } ->
-             let dsts = Hashtbl.create 8 in
-             let dst_conn owner =
-               match Hashtbl.find_opt dsts owner with
-               | Some c -> Some c
-               | None -> (
-                   match
-                     List.find_opt
-                       (fun x -> x.node = owner)
-                       (locked t (fun () -> t.backends))
-                   with
-                   | None -> None
-                   | Some d -> (
-                       match
-                         Client.connect
-                           ~connect_timeout_s:t.connect_timeout_s d.endpoint
-                       with
-                       | c ->
-                           Hashtbl.add dsts owner c;
-                           Some c
-                       | exception _ -> None))
-             in
-             Fun.protect
-               ~finally:(fun () -> Hashtbl.iter (fun _ c -> Client.close c) dsts)
-             @@ fun () ->
-             List.iter
-               (fun (kind, key) ->
-                 (* widen the handover window under chaos: keyed traffic
-                    keeps flowing against the old ring while keys move *)
-                 if Fault.fire "cluster.membership.race" then
-                   Thread.delay 0.02;
-                 let owner = Ring.owner ring (Route.of_store_key key) in
-                 if owner <> b.node then
-                   match dst_conn owner with
-                   | None -> ()
-                   | Some dst -> (
-                       match
-                         Client.request ~deadline_ms:10_000 src
-                           (Protocol.Forward { kind; key })
-                       with
-                       | Protocol.Fetched { data = Some bytes } -> (
-                           match
-                             Client.request ~deadline_ms:10_000 dst
-                               (Protocol.Replicate { data = bytes })
-                           with
-                           | Protocol.Replicated _ -> incr moved
-                           | _ -> ()
-                           | exception _ -> ())
-                       | _ -> ()
-                       | exception _ -> ()))
-               entries
-         | _ -> ()
-       with _ -> ());
-      !moved
+  | None -> (0, 0)
+  | Some ring -> (
+      match request b.endpoint Protocol.Store_list with
+      | Protocol.Store_listing { entries } ->
+          let backends = locked t (fun () -> t.backends) in
+          List.fold_left
+            (fun (moved, failed) (kind, key) ->
+              (* widen the handover window under chaos: keyed traffic
+                 keeps flowing against the old ring while keys move *)
+              if Fault.fire "cluster.membership.race" then Thread.delay 0.02;
+              let owner = Ring.owner ring (Route.of_store_key key) in
+              match
+                request
+                  (List.find (fun x -> x.node = owner) backends).endpoint
+                  (Protocol.Pull { kind; key; source = b.node })
+              with
+              | Protocol.Pulled _ -> (moved + 1, failed)
+              | _ -> (moved, failed + 1)
+              | exception e ->
+                  t.log
+                    (Printf.sprintf "decommission: %s did not pull %s %s (%s)"
+                       owner kind key (Printexc.to_string e));
+                  (moved, failed + 1))
+            (0, 0) entries
+      | _ -> (0, 0)
+      | exception e ->
+          t.log
+            (Printf.sprintf "decommission: cannot list %s's store (%s)" b.node
+               (Printexc.to_string e));
+          (0, 0))
 
 let decommission t ~node =
   with_membership_lock t @@ fun () ->
@@ -476,14 +457,14 @@ let decommission t ~node =
                 Some (Ring.remove r node)
             | _ -> None)
       in
-      let migrated = migrate t ~from:b ~new_ring in
+      let moved, failed = migrate t ~from:b ~new_ring in
       locked t (fun () ->
           t.backends <- List.filter (fun x -> x.node <> node) t.backends;
           t.ring <- new_ring);
       Obs.incr membership_changes_total;
       t.log
-        (Printf.sprintf "decommission: %s (%d artifacts migrated)" node
-           migrated);
+        (Printf.sprintf "decommission: %s (%d artifacts migrated, %d failed)"
+           node moved failed);
       broadcast_membership t;
       (* tell the supervisor first, so the drain-induced death below is
          final rather than a crash to respawn *)
@@ -530,7 +511,7 @@ let serve_request t sessions fd ~deadline_ms (req : Protocol.request) =
           finish (Ok_response (Members { members = join t ~node ~endpoint:ep })))
   | Decommission { node } ->
       finish (Ok_response (Members { members = decommission t ~node }))
-  | Ring_update _ | Store_list | Replicate _ ->
+  | Ring_update _ | Store_list | Pull _ ->
       finish
         (error_frame Internal
            (Printf.sprintf "%s is a backend verb; this is a router"
@@ -587,8 +568,7 @@ let serve_request t sessions fd ~deadline_ms (req : Protocol.request) =
           with _ -> ())
         (locked t (fun () -> t.backends));
       stop t
-  | Analyze _ | Simulate _ | Table _ | Forward _ | Forward_range _ | Advise _
-    -> (
+  | Analyze _ | Simulate _ | Table _ | Forward_range _ | Advise _ -> (
       match Route.of_request ~size:t.size req with
       | Some key ->
           finish (dispatch_keyed t sessions ~deadline_ms ~t0 key req)

@@ -9,7 +9,9 @@
     successor within the same request, so one dead backend degrades a
     key's locality (a successor recomputes or fetch-throughs) without
     failing the call. Typed error frames from a backend relay to the
-    client unchanged — a refusal is an answer, not a failure.
+    client unchanged — a refusal is an answer, not a failure — except
+    [Shutting_down] from a draining backend, which moves on to the next
+    successor (without counting against the breaker) while one is left.
 
     Keyless verbs the router answers itself: [ping] locally (router
     liveness), [locate] from the ring, [stats] and [fsck] by fanning
@@ -29,8 +31,9 @@
     catches up on joins and decommissions it slept through.
 
     Membership is live (protocol v6): {!join} adds a backend and
-    {!decommission} retires one, migrating its artifacts to their new
-    ring owners first (digest-checked pull + push) and telling the
+    {!decommission} retires one, first asking each of its artifacts'
+    new ring owners to pull the artifact from the retiree (the streamed,
+    digest-checked transfer {!Fleet} uses everywhere), then telling the
     retiree to drain and exit. Both swap the ring atomically and
     broadcast a [ring-update] to every backend. An empty fleet is a
     served state, not a crash: every routed request gets a typed
@@ -89,13 +92,16 @@ val members : t -> (string * string) list
 val join : t -> node:string -> endpoint:Ddg_server.Server.endpoint ->
   (string * string) list
 (** Add a backend to the ring (idempotent: re-joining an existing id is
-    a no-op) and broadcast the new membership to every backend. The
-    joiner warms up through fetch-through replication; keys move only
-    to it. Returns the membership now in force. *)
+    a no-op) and broadcast the new membership to every backend. Keys
+    move only to the joiner, and nothing is migrated: it recomputes a
+    key it now owns until a scrub on an old holder asks it to pull
+    that key. Returns the membership now in force. *)
 
 val decommission : t -> node:string -> (string * string) list
-(** Retire a backend: migrate its artifacts to their new ring owners
-    (best-effort — a dead node has nothing to export), swap the ring,
+(** Retire a backend: ask each of its artifacts' new ring owners to
+    pull the artifact from it (best-effort — a dead node has nothing to
+    list; each failed pull is logged and counted in the
+    [decommission: ...] log line), swap the ring,
     broadcast the new membership, and tell the retiree to drain and
     exit. Idempotent; removing the last member leaves an empty,
     [No_backends]-serving fleet. Also the flap-cap action of

@@ -63,9 +63,9 @@ val set_pool : t -> Ddg_jobs.Engine.Pool.t -> unit
 val set_fetch : t -> (kind:string -> key:string -> bool) -> unit
 (** Wire in a cluster fetch-through hook: on an artifact-store miss the
     hook is called with the missing (kind, key); returning [true] means
-    the artifact was imported into this runner's store (typically via
-    {!Ddg_store.Store.import} from the owning peer's
-    {!Ddg_store.Store.export}) and the local lookup is retried once. A
+    the artifact was imported into this runner's store (typically
+    pulled from the owning peer into {!Ddg_store.Store.import}) and
+    the local lookup is retried once. A
     [false] return, or any store-less runner, falls back to computing
     locally — the hook can only save work, never change results. *)
 

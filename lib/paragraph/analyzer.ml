@@ -8,7 +8,6 @@ module BA1 = Bigarray.Array1
    phase for plain dataflow configurations, window phase when discrete
    placement constraints are in play — never per event: the hot loop
    stays allocation- and probe-free. *)
-let span_decode = Obs.span_site ~labels:[ ("phase", "decode") ] "ddg_analyze_phase_ns"
 let span_well = Obs.span_site ~labels:[ ("phase", "live_well") ] "ddg_analyze_phase_ns"
 let span_window = Obs.span_site ~labels:[ ("phase", "window") ] "ddg_analyze_phase_ns"
 let span_stats = Obs.span_site ~labels:[ ("phase", "stats") ] "ddg_analyze_phase_ns"
@@ -960,23 +959,6 @@ let fused_group configs trace =
           build_stats t ~live_locations:live.(j))
         configs
 
-(* Split the configurations into groups whose banked wells each stay
-   within a fixed cache budget (and at most 8 states, so one operand's
-   bank span stays within a few cache lines), then run the groups on
-   parallel domains — the packed trace is shared read-only, every other
-   structure is group-private. Plain configurations (no window, no
-   functional-unit limits) are grouped separately from the rest so their
-   groups take {!fused_group}'s specialised value loop; results come back
-   in the caller's order regardless. *)
-let analyze_channel config ic =
-  let t = create config in
-  Obs.time span_decode (fun () ->
-      Ddg_sim.Trace_io.fold_channel ic ~init:() ~f:(fun () e -> feed t e));
-  let stats = Obs.time span_stats (fun () -> finish t) in
-  Obs.incr analyze_runs;
-  Obs.add analyze_events stats.events;
-  stats
-
 (* Stream a flat trace file through one analyzer state in bounded
    memory: rows arrive through [Trace_io.stream_file]'s fixed read
    windows — never a mapping, never a materialised trace — and feed the
@@ -1011,6 +993,14 @@ let analyze_stream ?verify ?window config path =
   Obs.add analyze_events stats.events;
   stats
 
+(* Split the configurations into groups whose banked wells each stay
+   within a fixed cache budget (and at most 8 states, so one operand's
+   bank span stays within a few cache lines), then run the groups on
+   parallel domains — the packed trace is shared read-only, every other
+   structure is group-private. Plain configurations (no window, no
+   functional-unit limits) are grouped separately from the rest so their
+   groups take {!fused_group}'s specialised value loop; results come back
+   in the caller's order regardless. *)
 let analyze_many ?max_domains configs trace =
   (* before any group starts, so no worker domain raises mid-run *)
   List.iter check_config configs;

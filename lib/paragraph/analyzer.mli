@@ -79,15 +79,6 @@ val analyze : Config.t -> Ddg_sim.Trace.t -> stats
     int rows directly (locations stay dense ids, operation classes stay
     tags) and allocates nothing per event. *)
 
-val analyze_channel : Config.t -> in_channel -> stats
-(** Stream a saved trace ({!Ddg_sim.Trace_io} format, header included)
-    straight through the analyzer via {!Ddg_sim.Trace_io.fold_channel},
-    without materialising the packed columns: memory stays bounded by the
-    live-value working set, so an on-disk trace far larger than RAM can
-    be analyzed in one pass. Agrees exactly with {!analyze} of the loaded
-    trace.
-    @raise Ddg_sim.Trace_io.Corrupt on malformed input. *)
-
 val analyze_stream :
   ?verify:bool -> ?window:int -> Config.t -> string -> stats
 (** Stream a {e flat} (v3) trace file through the analyzer in bounded

@@ -1,4 +1,4 @@
-let version = 7
+let version = 8
 let max_frame_bytes = 16 * 1024 * 1024
 let magic = "DDGP"
 
@@ -35,6 +35,7 @@ type error_code =
   | Internal
   | Worker_crashed
   | No_backends
+  | Unknown_node
 
 type error = { code : error_code; message : string }
 
@@ -48,13 +49,12 @@ type request =
   | Fsck
   | Metrics
   | Locate of { key : string }
-  | Forward of { kind : string; key : string }
   | Advise of { workload : string; config : Ddg_paragraph.Config.t }
   | Join of { node : string; endpoint : string }
   | Decommission of { node : string }
   | Ring_update of { members : (string * string) list }
   | Store_list
-  | Replicate of { data : string }
+  | Pull of { kind : string; key : string; source : string }
   | Forward_range of { kind : string; key : string; offset : int; length : int }
 
 type sim_summary = {
@@ -108,11 +108,10 @@ type response =
   | Fsck_report of fsck_summary
   | Metrics_snapshot of Ddg_obs.Obs.snapshot
   | Located of { node : string }
-  | Fetched of { data : string option }
   | Advised of Ddg_advise.Advise.t
   | Members of { members : (string * string) list }
   | Store_listing of { entries : (string * string) list }
-  | Replicated of { kind : string; key : string }
+  | Pulled of { kind : string; key : string }
   | Fetched_range of { total : int; data : string }
 
 type frame =
@@ -131,14 +130,20 @@ let verb_name = function
   | Fsck -> "fsck"
   | Metrics -> "metrics"
   | Locate _ -> "locate"
-  | Forward _ -> "forward"
   | Advise _ -> "advise"
   | Join _ -> "join"
   | Decommission _ -> "decommission"
   | Ring_update _ -> "ring-update"
   | Store_list -> "store-list"
-  | Replicate _ -> "replicate"
+  | Pull _ -> "pull"
   | Forward_range _ -> "forward-range"
+
+(* every [verb_name], in request-tag order: the server pre-registers a
+   metric series per entry, so keep it in step with the function above *)
+let verbs =
+  [ "ping"; "analyze"; "simulate"; "table"; "stats"; "shutdown"; "fsck";
+    "metrics"; "locate"; "advise"; "join"; "decommission"; "ring-update";
+    "store-list"; "pull"; "forward-range" ]
 
 (* a verb is idempotent when replaying it after an ambiguous failure
    (connection dropped mid-request) cannot change server state beyond
@@ -146,8 +151,8 @@ let verb_name = function
    could kill a daemon restarted in between *)
 let idempotent = function
   | Ping _ | Analyze _ | Simulate _ | Table _ | Server_stats | Fsck | Metrics
-  | Locate _ | Forward _ | Advise _ | Join _ | Decommission _ | Ring_update _
-  | Store_list | Replicate _ | Forward_range _ ->
+  | Locate _ | Advise _ | Join _ | Decommission _ | Ring_update _
+  | Store_list | Pull _ | Forward_range _ ->
       true
   | Shutdown -> false
 
@@ -162,6 +167,7 @@ let error_code_name = function
   | Internal -> "internal"
   | Worker_crashed -> "worker-crashed"
   | No_backends -> "no-backends"
+  | Unknown_node -> "unknown-node"
 
 (* --- payload encoding (Buffer) --------------------------------------------- *)
 
@@ -367,10 +373,6 @@ let e_request b = function
   | Locate { key } ->
       e_varint b 8;
       e_string ~max:max_key b key
-  | Forward { kind; key } ->
-      e_varint b 9;
-      e_string ~max:max_name b kind;
-      e_string ~max:max_key b key
   | Advise { workload; config } ->
       e_varint b 10;
       e_string ~max:max_name b workload;
@@ -386,9 +388,11 @@ let e_request b = function
       e_varint b 13;
       e_members b members
   | Store_list -> e_varint b 14
-  | Replicate { data } ->
+  | Pull { kind; key; source } ->
       e_varint b 15;
-      e_string ~max:max_frame_bytes b data
+      e_string ~max:max_name b kind;
+      e_string ~max:max_key b key;
+      e_string ~max:max_name b source
   | Forward_range { kind; key; offset; length } ->
       e_varint b 16;
       e_string ~max:max_name b kind;
@@ -410,10 +414,6 @@ let c_request c =
   | 6 -> Fsck
   | 7 -> Metrics
   | 8 -> Locate { key = c_string ~max:max_key c }
-  | 9 ->
-      let kind = c_string ~max:max_name c in
-      let key = c_string ~max:max_key c in
-      Forward { kind; key }
   | 10 ->
       let workload = c_string ~max:max_name c in
       let config = c_config c in
@@ -425,7 +425,11 @@ let c_request c =
   | 12 -> Decommission { node = c_string ~max:max_name c }
   | 13 -> Ring_update { members = c_members c }
   | 14 -> Store_list
-  | 15 -> Replicate { data = c_string ~max:max_frame_bytes c }
+  | 15 ->
+      let kind = c_string ~max:max_name c in
+      let key = c_string ~max:max_key c in
+      let source = c_string ~max:max_name c in
+      Pull { kind; key; source }
   | 16 ->
       let kind = c_string ~max:max_name c in
       let key = c_string ~max:max_key c in
@@ -627,13 +631,6 @@ let e_response b = function
   | Located { node } ->
       e_varint b 8;
       e_string ~max:max_name b node
-  | Fetched { data } -> (
-      e_varint b 9;
-      match data with
-      | None -> e_bool b false
-      | Some bytes ->
-          e_bool b true;
-          e_string ~max:max_frame_bytes b bytes)
   | Advised report ->
       e_varint b 10;
       let payload = Ddg_advise.Advise_codec.to_string report in
@@ -645,7 +642,7 @@ let e_response b = function
   | Store_listing { entries } ->
       e_varint b 12;
       e_entries b entries
-  | Replicated { kind; key } ->
+  | Pulled { kind; key } ->
       e_varint b 13;
       e_string ~max:max_name b kind;
       e_string ~max:max_key b key
@@ -686,11 +683,6 @@ let c_response c =
       Fsck_report { scanned; valid; quarantined; missing; swept_temps }
   | 7 -> Metrics_snapshot (c_obs_snapshot c)
   | 8 -> Located { node = c_string ~max:max_name c }
-  | 9 ->
-      let data =
-        if c_bool c then Some (c_string ~max:max_frame_bytes c) else None
-      in
-      Fetched { data }
   | 10 ->
       let blob = c_string ~max:max_frame_bytes c in
       let report =
@@ -704,7 +696,7 @@ let c_response c =
   | 13 ->
       let kind = c_string ~max:max_name c in
       let key = c_string ~max:max_key c in
-      Replicated { kind; key }
+      Pulled { kind; key }
   | 14 ->
       let total = c_varint c in
       let data = c_string ~max:max_frame_bytes c in
@@ -722,6 +714,7 @@ let error_code_tag = function
   | Internal -> 7
   | Worker_crashed -> 8
   | No_backends -> 9
+  | Unknown_node -> 10
 
 let error_code_of_tag = function
   | 0 -> Bad_frame
@@ -734,6 +727,7 @@ let error_code_of_tag = function
   | 7 -> Internal
   | 8 -> Worker_crashed
   | 9 -> No_backends
+  | 10 -> Unknown_node
   | t -> fail "bad error code tag %d" t
 
 let truncate_message m =

@@ -69,6 +69,9 @@ type error_code =
       (** a cluster router has no live backend left for this request —
           every node is decommissioned or dead (protocol v6); retrying
           is pointless until membership changes *)
+  | Unknown_node
+      (** a {!request.Pull} named a source node id that is not a peer
+          on the answering backend's ring (protocol v8) *)
 
 type error = { code : error_code; message : string }
 
@@ -93,11 +96,6 @@ type request =
       (** cluster membership query: which node id owns this routing key
           on the answering node's hash ring — answered by routers and
           cluster-configured daemons, refused ([Internal]) elsewhere *)
-  | Forward of { kind : string; key : string }
-      (** fetch-through replication: export the named store artifact's
-          verified bytes so a peer can import them into its own store —
-          a node serving a key it does not own pulls the artifact from
-          the owner instead of recomputing *)
   | Advise of { workload : string; config : Ddg_paragraph.Config.t }
       (** parallelization advisor (protocol v5): classify the
           workload's loops from its loop-marked trace; [config]
@@ -120,19 +118,25 @@ type request =
           backends re-aim their fetch-through and scrub at the new ring *)
   | Store_list
       (** enumerate the answering node's store as (kind, key) pairs —
-          the migration and anti-entropy walkers' source of truth *)
-  | Replicate of { data : string }
-      (** push one artifact's raw verified [.art] bytes into the
-          answering node's store ({!Ddg_store.Store.import}: digest
-          checked before installation) — the push half of replication,
-          complementing {!Forward}'s pull *)
+          the migration walker's source of truth *)
+  | Pull of { kind : string; key : string; source : string }
+      (** ask a cluster backend to copy one artifact into its own store
+          from the peer with node id [source] (protocol v8) — how a
+          drain moves keys to their new owners and how the scrub hands
+          an artifact to its ring owner. A backend that already holds a
+          verified copy answers at once; otherwise it streams the
+          artifact from [source] with {!Forward_range} slices.
+          Answered with {!response.Pulled}; an unknown [source] is
+          refused with [Unknown_node], a daemon with no cluster
+          configuration with [Internal], and neither installs anything *)
   | Forward_range of { kind : string; key : string; offset : int; length : int }
-      (** chunked fetch-through (protocol v7): export one slice of the
-          named artifact's raw file bytes, for artifacts too large to
-          ship in a single {!Forward} frame. The answering node replies
-          {!response.Fetched_range} with the slice and the file's total
-          size; the fetcher loops until it has the whole file and
-          imports the reassembled bytes (digest-verified) as usual *)
+      (** the one artifact-transfer primitive (protocol v7): export one
+          slice of the named artifact's raw [.art] file bytes. The
+          answering node replies {!response.Fetched_range} with the
+          slice and the file's total size; the puller requests slices
+          on one connection until it has the whole file, streaming them
+          into {!Ddg_store.Store.import}, whose digest check is the
+          only acceptance gate. A small artifact is one slice *)
 
 type sim_summary = {
   instructions : int;
@@ -197,10 +201,6 @@ type response =
           ((index, count) pairs in increasing index order), all lists
           are length-bounded before allocation *)
   | Located of { node : string }  (** reply to {!request.Locate} *)
-  | Fetched of { data : string option }
-      (** reply to {!request.Forward}: the artifact's raw [.art] bytes,
-          or [None] when absent (or too large for one frame) — the
-          requester then computes locally *)
   | Advised of Ddg_advise.Advise.t
       (** reply to {!request.Advise}; travels as the canonical
           {!Ddg_advise.Advise_codec} encoding unchanged *)
@@ -211,9 +211,9 @@ type response =
   | Store_listing of { entries : (string * string) list }
       (** reply to {!request.Store_list}: every (kind, key) the
           answering node's store holds *)
-  | Replicated of { kind : string; key : string }
-      (** reply to {!request.Replicate}: the imported artifact's
-          identity as verified from its header *)
+  | Pulled of { kind : string; key : string }
+      (** reply to {!request.Pull}: the answering backend now holds a
+          verified copy of this artifact *)
   | Fetched_range of { total : int; data : string }
       (** reply to {!request.Forward_range}: the requested slice
           (clamped to the file, possibly empty) and the artifact file's
@@ -233,6 +233,10 @@ type frame =
 val verb_name : request -> string
 (** Stable short name of a request's verb ("ping", "analyze", ...), the
     key space of {!counters.by_verb}. *)
+
+val verbs : string list
+(** Every name {!verb_name} can return, in request-tag order — the
+    daemon registers one metric series per entry up front. *)
 
 val idempotent : request -> bool
 (** Whether replaying the request after an ambiguous failure is safe.

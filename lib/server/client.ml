@@ -2,6 +2,13 @@ module Protocol = Ddg_protocol.Protocol
 
 exception Server_error of Protocol.error
 
+(* log lines that print a refusal show its code and message *)
+let () =
+  Printexc.register_printer (function
+    | Server_error { code; message } ->
+        Some (Printf.sprintf "%s: %s" (Protocol.error_code_name code) message)
+    | _ -> None)
+
 type t = {
   fd : Unix.file_descr;
   software : string;

@@ -12,7 +12,8 @@ type t
 
 exception Server_error of Ddg_protocol.Protocol.error
 (** The server answered with a typed error frame ([Busy],
-    [Deadline_exceeded], [Unknown_workload], ...). *)
+    [Deadline_exceeded], [Unknown_workload], ...). [Printexc.to_string]
+    renders it as ["<code name>: <message>"]. *)
 
 val connect :
   ?retry_for_s:float -> ?connect_timeout_s:float -> ?node:string ->

@@ -42,8 +42,7 @@ let () =
     (fun verb ->
       ignore (verb_counter verb : Obs.counter);
       ignore (verb_latency verb : Obs.span))
-    [ "ping"; "analyze"; "simulate"; "table"; "stats"; "shutdown"; "fsck";
-      "metrics"; "locate"; "forward" ]
+    Ddg_protocol.Protocol.verbs
 
 type t = { started : float }
 

@@ -36,13 +36,15 @@ let endpoint_of_string s =
 
 (* Cluster-mode identity: who this daemon is on the hash ring and how
    to answer "who owns this key". The ring itself lives in the cluster
-   library; the server only consults it through [locate] and feeds
-   membership changes back through [update], so the daemon carries no
-   ring dependency. *)
+   library; the server only consults it through [locate], feeds
+   membership changes back through [update] and hands [Pull] requests
+   to [pull], so the daemon carries no ring dependency. *)
 type cluster = {
   node_id : string;
   locate : string -> string;
   update : (string * string) list -> unit;
+  pull :
+    kind:string -> key:string -> source:string -> (unit, Protocol.error) result;
 }
 
 type t = {
@@ -182,9 +184,8 @@ let compute t (req : Protocol.request) cancelled : Protocol.response =
               quarantined = r.quarantined;
               missing = r.missing;
               swept_temps = r.swept_temps })
-  | Server_stats | Shutdown | Metrics | Locate _ | Forward _
-  | Forward_range _ | Join _ | Decommission _ | Ring_update _ | Store_list
-  | Replicate _ ->
+  | Server_stats | Shutdown | Metrics | Locate _ | Forward_range _ | Join _
+  | Decommission _ | Ring_update _ | Store_list | Pull _ ->
       (* Handled inline by the connection handler; never queued. *)
       assert false
 
@@ -213,28 +214,9 @@ let serve_request t fd ~deadline_ms ~attempt (req : Protocol.request) =
       | None ->
           finish `Error
             (error_frame Internal "this daemon is not a cluster member"))
-  | Forward { kind; key } -> (
-      (* fetch-through export: verified raw artifact bytes for a peer's
-         import; absent (or over-frame-sized) artifacts report None and
-         the peer computes locally *)
-      match Runner.store t.runner with
-      | None ->
-          finish `Error
-            (error_frame Internal
-               "no artifact store configured (daemon started with --no-cache)")
-      | Some store ->
-          let data =
-            match Ddg_store.Store.export store ~kind ~key with
-            | Some bytes
-              when String.length bytes + 64 > Protocol.max_frame_bytes ->
-                None
-            | d -> d
-          in
-          finish `Ok (Ok_response (Fetched { data })))
   | Forward_range { kind; key; offset; length } -> (
-      (* chunked fetch-through: one raw slice per request, so artifacts
-         over the frame limit replicate in bounded pieces; the importer
-         digest-verifies the reassembled file *)
+      (* one raw slice per request, so an artifact of any size moves in
+         bounded pieces; the puller digest-verifies the reassembled file *)
       match Runner.store t.runner with
       | None ->
           finish `Error
@@ -265,21 +247,18 @@ let serve_request t fd ~deadline_ms ~attempt (req : Protocol.request) =
             List.filteri (fun i _ -> i < Protocol.max_store_entries) entries
           in
           finish `Ok (Ok_response (Store_listing { entries })))
-  | Replicate { data } -> (
-      (* push replication: digest-verified import, never queued *)
-      match Runner.store t.runner with
+  | Pull { kind; key; source } -> (
+      (* the cluster hook streams the artifact from [source] into this
+         daemon's store; never queued, so a drain's pulls never wait
+         behind analyses *)
+      match t.cluster with
+      | Some c -> (
+          match c.pull ~kind ~key ~source with
+          | Ok () -> finish `Ok (Ok_response (Pulled { kind; key }))
+          | Error { code; message } -> finish `Error (error_frame code message))
       | None ->
           finish `Error
-            (error_frame Internal
-               "no artifact store configured (daemon started with --no-cache)")
-      | Some store -> (
-          match Ddg_store.Store.import store data with
-          | Some (kind, key) ->
-              finish `Ok (Ok_response (Replicated { kind; key }))
-          | None ->
-              finish `Error
-                (error_frame Internal
-                   "replicate rejected: artifact bytes failed verification")))
+            (error_frame Internal "this daemon is not a cluster member"))
   | Ring_update { members } -> (
       match t.cluster with
       | Some c ->

@@ -28,6 +28,11 @@ type cluster = {
   node_id : string;
   locate : string -> string;
   update : (string * string) list -> unit;
+  pull :
+    kind:string ->
+    key:string ->
+    source:string ->
+    (unit, Ddg_protocol.Protocol.error) result;
 }
 (** Cluster-mode identity for a daemon that is one shard of a fleet:
     [node_id] is carried in the server's Hello and [locate] answers the
@@ -35,9 +40,12 @@ type cluster = {
     {!Ddg_cluster.Ring} lookup — the server itself stays ring-agnostic).
     [update] receives a router's [Ring_update] broadcast — the full
     membership as (node id, endpoint string) pairs — so live joins and
-    decommissions reach the daemon's ring without a restart.
-    Fetch-through replication is wired separately, via
-    {!Ddg_experiments.Runner.set_fetch} on the daemon's runner. *)
+    decommissions reach the daemon's ring without a restart. [pull]
+    answers the [Pull] verb: copy the artifact into this daemon's store
+    from the peer named [source], or say why not; its [Error] is sent
+    back as the error frame. Fetch-through replication is wired
+    separately, via {!Ddg_experiments.Runner.set_fetch} on the daemon's
+    runner. *)
 
 val endpoint_to_string : endpoint -> string
 (** ["unix:<path>"] or ["tcp:<addr>:<port>"] — the format membership
@@ -56,9 +64,10 @@ val create :
   ?log:(string -> unit) ->
   endpoint list ->
   t
-(** [cluster] (default none) makes the daemon answer [Locate] and carry
-    its node id in the handshake; without it [Locate] is refused with an
-    [Internal] error. [Forward] (artifact export for fetch-through) is
+(** [cluster] (default none) makes the daemon answer [Locate] and
+    [Pull] and carry its node id in the handshake; without it both are
+    refused with an [Internal] error. [Forward_range] (one slice of a
+    stored artifact, the transfer primitive behind every pull) is
     served by any daemon with a store, clustered or not.
     [workers] (default: domain count - 1, min 1) sizes the compute
     pool. [max_inflight] (default 64) bounds queued-plus-running

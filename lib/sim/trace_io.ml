@@ -58,42 +58,6 @@ let read_loc ic : Ddg_isa.Loc.t =
   | 2 -> Mem v
   | k -> corrupt "unknown location tag %d" k
 
-(* --- events ----------------------------------------------------------------- *)
-
-let write_event oc (e : Trace.event) =
-  let flags = Ddg_isa.Opclass.to_tag e.op_class in
-  let flags = if e.dest <> None then flags lor Trace.flags_has_dest else flags in
-  let flags =
-    match e.branch with
-    | Some { Trace.taken } ->
-        flags lor Trace.flags_branch
-        lor (if taken then Trace.flags_taken else 0)
-    | None -> flags
-  in
-  output_byte oc flags;
-  write_varint oc e.pc;
-  (match e.dest with Some d -> write_loc oc d | None -> ());
-  write_varint oc (List.length e.srcs);
-  List.iter (write_loc oc) e.srcs
-
-let read_event ic flags : Trace.event =
-  if flags land Trace.flags_class_mask > 8 then
-    corrupt "unknown operation class %d" (flags land Trace.flags_class_mask);
-  let op_class = Ddg_isa.Opclass.of_tag (flags land Trace.flags_class_mask) in
-  let pc = read_varint ic in
-  let dest =
-    if flags land Trace.flags_has_dest <> 0 then Some (read_loc ic) else None
-  in
-  let nsrcs = read_varint ic in
-  if nsrcs > 16 then corrupt "implausible source count %d" nsrcs;
-  let srcs = List.init nsrcs (fun _ -> read_loc ic) in
-  let branch =
-    if flags land Trace.flags_branch <> 0 then
-      Some { Trace.taken = flags land Trace.flags_taken <> 0 }
-    else None
-  in
-  { Trace.pc; op_class; dest; srcs; branch }
-
 (* --- loop-mark section (format 2) ------------------------------------------
 
    Written after the event terminator: the loop-descriptor table, then
@@ -191,13 +155,7 @@ let read_marks_section ic trace =
   | b -> corrupt "bad marks trailer byte %d" b
   | exception End_of_file -> corrupt "truncated marks section"
 
-(* --- legacy whole-trace and streaming writers -------------------------------- *)
-
-let writer oc =
-  output_string oc magic_v1;
-  let emit e = write_event oc e in
-  let close () = output_byte oc terminator in
-  (emit, close)
+(* --- legacy whole-trace writer ---------------------------------------------- *)
 
 module BA1 = Bigarray.Array1
 
@@ -751,22 +709,6 @@ let check_magic ic =
   | s when s = magic_v2 -> `V2
   | s when s = magic_v3 -> `V3
   | _ -> corrupt "bad magic (not a trace file)"
-
-let fold_channel ic ~init ~f =
-  match check_magic ic with
-  | `V3 ->
-      let trace = read_flat_channel ic in
-      let acc = ref init in
-      Trace.iter (fun e -> acc := f !acc e) trace;
-      !acc
-  | `V1 | `V2 ->
-      let rec go acc =
-        let flags =
-          try input_byte ic with End_of_file -> corrupt "missing terminator"
-        in
-        if flags = terminator then acc else go (f acc (read_event ic flags))
-      in
-      go init
 
 (* Read straight into the packed columns, interning locations as they
    stream past, without materialising event records. *)

@@ -57,11 +57,6 @@ val write_channel : out_channel -> Trace.t -> unit
 
 val write_file : string -> Trace.t -> unit
 
-val writer : out_channel -> (Trace.event -> unit) * (unit -> unit)
-(** Streaming v1 interface: [let emit, close = writer oc] writes the
-    header immediately; call [emit] per event and [close] to write the
-    terminator (the channel itself is left open). *)
-
 val read_channel : in_channel -> Trace.t
 (** Reads any version; v1/v2 are converted to the packed representation
     on the fly, v3 is loaded eagerly (use {!map_file} for zero-copy).
@@ -69,10 +64,6 @@ val read_channel : in_channel -> Trace.t
 
 val read_file : string -> Trace.t
 (** @raise Corrupt @raise Sys_error *)
-
-val fold_channel : in_channel -> init:'a -> f:('a -> Trace.event -> 'a) -> 'a
-(** Streaming read: fold over events of any version.
-    @raise Corrupt *)
 
 (** {1 Flat format (version 3)} *)
 

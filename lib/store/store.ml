@@ -479,10 +479,10 @@ let discredit t ~kind ~key reason =
   let path = artifact_path t ~kind ~key in
   if Sys.file_exists path then quarantine t path reason
 
-(* --- export / import -------------------------------------------------------- *)
+(* --- export_range / import --------------------------------------------------- *)
 
 (* verify an artifact file in place: header shape, payload length and
-   digest (shared by fsck, export and import) *)
+   digest (shared by fsck, verify and import) *)
 let verify_artifact path =
   let ic = open_in_bin path in
   Fun.protect
@@ -507,43 +507,6 @@ let verify_artifact path =
 
 let exports_total = Obs.counter "ddg_store_exports_total"
 let imports_total = Obs.counter "ddg_store_imports_total"
-
-(* Verify-then-read under one open: the digest check runs first, so a
-   torn or rotted artifact is quarantined (and reported absent) rather
-   than shipped to a peer. *)
-let export t ~kind ~key =
-  let path = artifact_path t ~kind ~key in
-  match open_in_bin path with
-  | exception Sys_error _ -> None
-  | ic -> (
-      let verdict =
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () ->
-            match
-              let info = read_header ic in
-              if info.i_kind <> kind || info.i_key <> key then
-                corrupt "key mismatch (hash collision or tampering)";
-              let start = pos_in ic in
-              if in_channel_length ic - start <> info.i_length then
-                corrupt "payload length mismatch";
-              let actual = Digest.channel ic info.i_length in
-              if actual <> info.i_digest then corrupt "checksum mismatch";
-              seek_in ic 0;
-              really_input_string ic (in_channel_length ic)
-            with
-            | bytes -> Ok bytes
-            | exception Corrupt msg -> Error msg
-            | exception End_of_file -> Error "truncated artifact"
-            | exception e -> Error (Printexc.to_string e))
-      in
-      match verdict with
-      | Ok bytes ->
-          Obs.incr exports_total;
-          Some bytes
-      | Error reason ->
-          quarantine t path reason;
-          None)
 
 (* Serve one slice of a whole artifact file for chunked replication.
    Cheap by design: header sanity only, no digest pass — the importer
@@ -576,7 +539,10 @@ let export_range t ~kind ~key ~offset ~length =
         | exception Sys_error _ ->
             None)
 
-let import t data =
+(* The writer streams raw [.art] bytes into a temp file; whatever it
+   raises propagates after the temp is removed, so an interrupted
+   transfer leaves nothing behind. *)
+let import t write =
   let tmp = temp_name t "import" in
   let installed =
     Fun.protect
@@ -584,15 +550,13 @@ let import t data =
         if Sys.file_exists tmp then
           try Sys.remove tmp with Sys_error _ -> ())
       (fun () ->
-        (try
-           let oc = open_out_bin tmp in
-           Fun.protect
-             ~finally:(fun () -> close_out_noerr oc)
-             (fun () ->
-               output_string oc data;
-               flush oc;
-               fsync_channel oc)
-         with Sys_error _ -> ());
+        let oc = open_out_bin tmp in
+        Fun.protect
+          ~finally:(fun () -> close_out_noerr oc)
+          (fun () ->
+            write oc;
+            flush oc;
+            fsync_channel oc);
         (* full verification on the temp copy: untrusted bytes never
            reach a content address unchecked *)
         match verify_artifact tmp with

@@ -119,35 +119,34 @@ val discredit : t -> kind:string -> key:string -> string -> unit
 (** {2 Replication}
 
     Whole artifacts move between stores as their raw [.art] bytes —
-    header, digest and payload together — so the receiving side can
-    verify the transfer with the same checks {!find} applies to local
-    reads, and a copied artifact is bit-identical to the original. *)
-
-val export : t -> kind:string -> key:string -> string option
-(** The verified raw bytes of one artifact file, ready for {!import}
-    into another store. [None] when the artifact is absent; when it is
-    present but fails verification it is quarantined (with a [.reason]
-    note) and the result is [None], exactly as a {!find} would. *)
+    header, digest and payload together — read in bounded slices on one
+    side ({!export_range}) and streamed into {!import} on the other, so
+    the receiving side verifies the transfer with the same checks
+    {!find} applies to local reads, and a copied artifact is
+    bit-identical to the original. *)
 
 val export_range : t ->
   kind:string -> key:string -> offset:int -> length:int ->
   (int * string) option
-(** One slice of an artifact's raw file bytes, for chunked replication
-    of artifacts too large to ship in a single protocol frame. Returns
+(** One slice of an artifact's raw file bytes. Returns
     [(total_bytes, slice)] where [slice] is the bytes at
     [offset .. offset+length-1] (clamped to the file). Header sanity
-    only — no digest pass per chunk; {!import} verifies the reassembled
+    only — no digest pass per slice; {!import} verifies the reassembled
     artifact in full before installing it. [None] when absent or
     unreadable. *)
 
-val import : t -> string -> (string * string) option
-(** Install an artifact from its raw bytes: the blob is written to a
-    temp file, its header, payload length and digest are verified
-    {e before} installation, and only then is it renamed to its content
+val import : t -> (out_channel -> unit) -> (string * string) option
+(** Install an artifact from its raw bytes: the callback streams them
+    to a temp file (as {!put}'s callback streams a payload), then the
+    header, payload length and digest are verified {e before}
+    installation, and only then is the file renamed to its content
     address (atomic, fsynced — the same durability as {!put}),
     replacing any previous artifact for that (kind, key). Returns the
     artifact's [(kind, key)], or [None] when the bytes fail
-    verification — a corrupt transfer never touches the store. *)
+    verification — a corrupt transfer never touches the store.
+    @raise Sys_error on local I/O failure, and re-raises whatever the
+    callback raises; the temp file is removed first, so an interrupted
+    transfer leaves nothing behind. *)
 
 val entries : t -> (string * string) list
 (** Every artifact currently in the store as [(kind, key)], in stable

@@ -234,7 +234,10 @@ let test_federate_merge () =
 
 (* --- in-process fleets --------------------------------------------------------- *)
 
-let with_fleet ?(nodes = 2) ?scrub_rate ?router f =
+(* [scrubbed] picks the node ids that run a scrub when [scrub_rate] is
+   given (default: every node) *)
+let with_fleet ?(size = tiny) ?(nodes = 2) ?scrub_rate
+    ?(scrubbed = fun _ -> true) ?router f =
   let base = fresh_base () in
   Unix.mkdir base 0o755;
   let members =
@@ -244,7 +247,11 @@ let with_fleet ?(nodes = 2) ?scrub_rate ?router f =
   in
   let backends =
     List.map
-      (fun self -> Fleet.backend ?scrub_rate ~size:tiny ~members ~self ())
+      (fun (self : Fleet.member) ->
+        let scrub_rate =
+          if scrubbed self.Fleet.node then scrub_rate else None
+        in
+        Fleet.backend ?scrub_rate ~size ~members ~self ())
       members
   in
   let threads =
@@ -257,7 +264,7 @@ let with_fleet ?(nodes = 2) ?scrub_rate ?router f =
     | None -> (None, None)
     | Some () ->
         let r =
-          Router.create ~size:tiny ~retry_for_s:2.0 ~connect_timeout_s:0.5
+          Router.create ~size ~retry_for_s:2.0 ~connect_timeout_s:0.5
             ~health_interval_s:0.2 ~failure_threshold:2 ~cooldown_s:0.5
             ~backends:
               (List.map
@@ -409,10 +416,10 @@ let test_router_end_to_end () =
 
 (* --- live membership over the wire ---------------------------------------------- *)
 
-let counter_value name =
+let counter_value ?(labels = []) name =
   List.fold_left
     (fun acc (c : Obs.counter_snapshot) ->
-      if c.Obs.cs_name = name && c.cs_labels = [] then acc + c.cs_value
+      if c.Obs.cs_name = name && c.cs_labels = labels then acc + c.cs_value
       else acc)
     0 (Obs.snapshot ()).Obs.counters
 
@@ -526,6 +533,90 @@ let test_membership_wire () =
           | _ -> Alcotest.fail "expected Bad_frame"
           | exception Client.Server_error { code = Protocol.Bad_frame; _ } -> ()))
 
+(* A drain must move artifacts of any size: at default size the spicex
+   trace (~23 MiB) is over the 16 MiB frame cap, so it only survives
+   the drain if the new owner pulls it in ranged slices. *)
+let test_drain_moves_large_trace () =
+  let size = Ddg_workloads.Workload.Default in
+  let spicex = Option.get (Ddg_workloads.Registry.find "spicex") in
+  let window64 = { Config.default with window = Some 64 } in
+  let reference =
+    Ddg_paragraph.Stats_codec.to_string
+      (Runner.analyze (Runner.create ~size ()) spicex window64)
+  in
+  with_fleet ~size ~nodes:2 ~router:()
+    (fun ~members ~backends:_ ~router_endpoint ->
+      let ring =
+        Ring.create (List.map (fun (m : Fleet.member) -> m.Fleet.node) members)
+      in
+      let owner_node =
+        Ring.owner ring
+          (Option.get
+             (Route.of_request ~size
+                (Protocol.Analyze { workload = "spicex"; config = window64 })))
+      in
+      let survivor =
+        List.find (fun (m : Fleet.member) -> m.Fleet.node <> owner_node)
+          members
+      in
+      Client.with_session ~retry_for_s:5.0 router_endpoint (fun s ->
+          (* warm the owner: a >16 MiB trace and a stats blob *)
+          (match
+             Client.call ~deadline_ms:120_000 s
+               (Protocol.Analyze
+                  { workload = "spicex"; config = Config.default })
+           with
+          | Protocol.Analyzed _ -> ()
+          | _ -> Alcotest.fail "expected Analyzed");
+          (match Client.call s (Protocol.Decommission { node = owner_node }) with
+          | Protocol.Members { members } ->
+              Alcotest.(check (list string))
+                "post-decommission membership" [ survivor.Fleet.node ]
+                (List.map fst members)
+          | _ -> Alcotest.fail "expected Members");
+          let store = Store.open_ ~dir:survivor.Fleet.store_dir () in
+          Alcotest.(check (list string))
+            "trace and stats both migrated" [ "stats"; "trace" ]
+            (List.sort compare (List.map fst (Store.entries store)));
+          (match
+             Client.call ~deadline_ms:120_000 s
+               (Protocol.Analyze { workload = "spicex"; config = window64 })
+           with
+          | Protocol.Analyzed stats ->
+              Alcotest.(check string) "window 64 byte-identical" reference
+                (Ddg_paragraph.Stats_codec.to_string stats)
+          | _ -> Alcotest.fail "expected Analyzed");
+          match Client.call s Protocol.Server_stats with
+          | Protocol.Telemetry c ->
+              Alcotest.(check int) "survivor never simulated" 0
+                c.Protocol.simulations
+          | _ -> Alcotest.fail "expected Telemetry"))
+
+let test_pull_refusals () =
+  with_fleet ~nodes:2 (fun ~members ~backends:_ ~router_endpoint:_ ->
+      let target = List.hd members in
+      let peer = List.nth members 1 in
+      let store = Store.open_ ~dir:target.Fleet.store_dir () in
+      let pull source =
+        Client.with_connection ~retry_for_s:5.0 target.Fleet.endpoint (fun c ->
+            Client.request c
+              (Protocol.Pull { kind = "trace"; key = "mtxx/tiny/x"; source }))
+      in
+      (match pull "node9" with
+      | _ -> Alcotest.fail "expected Unknown_node"
+      | exception Client.Server_error { code = Protocol.Unknown_node; _ } ->
+          ());
+      (* a known peer that lacks the artifact: a typed failure too *)
+      (match pull peer.Fleet.node with
+      | _ -> Alcotest.fail "expected an error for an absent artifact"
+      | exception Client.Server_error { code = Protocol.Internal; _ } -> ());
+      Alcotest.(check int) "nothing installed" 0
+        (List.length (Store.entries store));
+      Alcotest.(check bool) "no temp file left behind" false
+        (Array.exists
+           (fun f -> String.starts_with ~prefix:"tmp." f)
+           (Sys.readdir target.Fleet.store_dir)))
+
 (* --- anti-entropy scrub ---------------------------------------------------------- *)
 
 let flip_last_byte path =
@@ -606,6 +697,62 @@ let test_scrub_repair () =
             0
             (r.Store.quarantined + r.Store.missing))
         members)
+
+let pull_requests () =
+  counter_value ~labels:[ ("verb", "pull") ] "ddg_server_requests_verb_total"
+
+let scrub_passes () =
+  List.fold_left
+    (fun acc (h : Obs.hist_snapshot) ->
+      if h.Obs.hs_name = "ddg_scrub_pass_ns" then acc + h.hs_count else acc)
+    0 (Obs.snapshot ()).Obs.histograms
+
+(* An artifact over the 16 MiB frame cap on a node that does not own it
+   reaches its owner through the scrub, and the scrub asks only once:
+   only the non-owner scrubs, so every pass and every pull request
+   counted below is its own. *)
+let test_scrub_hands_large_artifact_to_owner () =
+  let key = "scrubbed/large/blob" in
+  let owner_node =
+    Ring.owner (Ring.create [ "node0"; "node1" ]) "scrubbed/large"
+  in
+  with_fleet ~nodes:2 ~scrub_rate:500.0 ~scrubbed:(fun n -> n <> owner_node)
+    (fun ~members ~backends:_ ~router_endpoint:_ ->
+      let store_of node =
+        Store.open_
+          ~dir:
+            (List.find (fun (m : Fleet.member) -> m.Fleet.node = node) members)
+              .Fleet.store_dir ()
+      in
+      let owner = store_of owner_node in
+      let holder =
+        store_of (if owner_node = "node0" then "node1" else "node0")
+      in
+      let base = counter_value "ddg_scrub_repairs_total" in
+      Store.put holder ~kind:"blob" ~key (fun oc ->
+          output_string oc
+            (String.init (20 * 1024 * 1024) (fun i ->
+                 Char.chr ((i * 7919) lxor (i lsr 13) land 0xff))));
+      let bytes store =
+        In_channel.with_open_bin
+          (Store.artifact_path store ~kind:"blob" ~key)
+          In_channel.input_all
+      in
+      poll_until ~timeout_s:30.0 "the owner's pull of the 20 MiB artifact"
+        (fun () -> counter_value "ddg_scrub_repairs_total" >= base + 1);
+      Alcotest.(check bool) "owner holds a byte-identical copy" true
+        (bytes owner = bytes holder);
+      let pulls = pull_requests () in
+      let passes = scrub_passes () in
+      poll_until "five more scrub passes" (fun () ->
+          scrub_passes () >= passes + 5);
+      Alcotest.(check int) "no further pull requests" pulls (pull_requests ());
+      List.iter
+        (fun store ->
+          let r = Store.fsck store in
+          Alcotest.(check int) "store clean" 0
+            (r.Store.quarantined + r.Store.missing))
+        [ owner; holder ])
 
 (* --- the self-healing metrics federate ------------------------------------------- *)
 
@@ -819,6 +966,12 @@ let tests =
       test_membership_wire;
     Alcotest.test_case "scrub repairs corruption from a peer" `Slow
       test_scrub_repair;
+    Alcotest.test_case "drain moves a >16 MiB trace to the survivor" `Slow
+      test_drain_moves_large_trace;
+    Alcotest.test_case "pull refuses unknown sources, installs nothing"
+      `Quick test_pull_refusals;
+    Alcotest.test_case "scrub hands a >16 MiB artifact to its owner once"
+      `Slow test_scrub_hands_large_artifact_to_owner;
     Alcotest.test_case "cluster chaos seed 3003" `Slow
       (test_cluster_chaos 3003) ]
   @ List.map QCheck_alcotest.to_alcotest

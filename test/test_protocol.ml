@@ -63,12 +63,7 @@ let sample_frames =
     Request
       { deadline_ms = 0; attempt = 0;
         request = Locate { key = "mtxx/small" } };
-    Request
-      { deadline_ms = 1000; attempt = 1;
-        request = Forward { kind = "trace"; key = "mtxx/small/v1/t9" } };
     Ok_response (Located { node = "node0" });
-    Ok_response (Fetched { data = None });
-    Ok_response (Fetched { data = Some "DDGART01\x00binary\xffpayload" });
     Request { deadline_ms = 0; attempt = 0; request = Ping { delay_ms = 0 } };
     Request
       { deadline_ms = 2500; attempt = 3; request = Ping { delay_ms = 100 } };
@@ -96,7 +91,10 @@ let sample_frames =
     Request { deadline_ms = 0; attempt = 0; request = Shutdown };
     Request { deadline_ms = 0; attempt = 2; request = Fsck };
     Request { deadline_ms = 0; attempt = 0; request = Metrics };
-    (* the v6 membership and replication verbs *)
+    Request
+      { deadline_ms = 0; attempt = 0;
+        request = Advise { workload = "mtxx"; config = Config.default } };
+    (* the v6 membership verbs *)
     Request
       { deadline_ms = 2000; attempt = 0;
         request = Join { node = "node3"; endpoint = "unix:/tmp/n3.sock" } };
@@ -114,9 +112,17 @@ let sample_frames =
                 [ ("node0", "unix:/tmp/n0.sock");
                   ("node1", "tcp:127.0.0.1:7001") ] } };
     Request { deadline_ms = 500; attempt = 0; request = Store_list };
+    (* the v8 transfer verbs *)
+    Request
+      { deadline_ms = 60_000; attempt = 1;
+        request =
+          Pull { kind = "trace"; key = "mtxx/small/v1/t9"; source = "node0" } };
     Request
       { deadline_ms = 0; attempt = 0;
-        request = Replicate { data = "DDGART01\x00raw\xffartifact bytes" } };
+        request =
+          Forward_range
+            { kind = "stats"; key = "mtxx/small"; offset = 8 * 1024 * 1024;
+              length = 8 * 1024 * 1024 } };
     Ok_response Pong;
     Ok_response (Analyzed sample_stats);
     Ok_response
@@ -140,7 +146,9 @@ let sample_frames =
     Ok_response
       (Store_listing
          { entries = [ ("trace", "mtxx/small"); ("stats", "eqnx/small/v2") ] });
-    Ok_response (Replicated { kind = "trace"; key = "mtxx/small" });
+    Ok_response (Pulled { kind = "trace"; key = "mtxx/small" });
+    Ok_response
+      (Fetched_range { total = 63_000_000; data = "DDGART01\x00raw\xffbytes" });
     Error_response { code = Busy; message = "10 requests already in flight" } ]
 
 let test_roundtrips () =
@@ -158,7 +166,23 @@ let test_all_error_codes () =
       check_canonical (Protocol.error_code_name code) frame)
     [ Protocol.Bad_frame; Unsupported_version; Unknown_workload;
       Unknown_table; Busy; Deadline_exceeded; Shutting_down; Internal;
-      Worker_crashed; No_backends ]
+      Worker_crashed; No_backends; Unknown_node ]
+
+let test_verb_list () =
+  (* the metrics layer pre-registers one series per listed verb, so the
+     list must name every verb a request can carry, each once; the
+     samples above carry one request of every verb *)
+  let sampled =
+    List.filter_map
+      (function
+        | Protocol.Request { request; _ } -> Some (Protocol.verb_name request)
+        | _ -> None)
+      sample_frames
+  in
+  Alcotest.(check (list string))
+    "the list is exactly the sampled verbs, without duplicates"
+    (List.sort_uniq compare sampled)
+    (List.sort compare Protocol.verbs)
 
 let test_analyzed_stats_survive () =
   match
@@ -436,6 +460,7 @@ let tests =
   [ Alcotest.test_case "sample frames round trip" `Quick test_roundtrips;
     Alcotest.test_case "all error codes round trip" `Quick
       test_all_error_codes;
+    Alcotest.test_case "every request verb is listed" `Quick test_verb_list;
     Alcotest.test_case "analyzed stats survive the wire" `Quick
       test_analyzed_stats_survive;
     Alcotest.test_case "every truncation is rejected" `Quick

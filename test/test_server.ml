@@ -182,9 +182,19 @@ let test_session_retries_through_busy () =
       let blocker =
         Thread.create
           (fun () ->
+            (* a probe ping can win the one slot first: retry on Busy
+               until this request holds it *)
             Client.with_connection ~retry_for_s:5.0 endpoint (fun client ->
-                ignore
-                  (Client.request client (Protocol.Ping { delay_ms = 2000 }))))
+                let rec hold () =
+                  match
+                    Client.request client (Protocol.Ping { delay_ms = 2000 })
+                  with
+                  | (_ : Protocol.response) -> ()
+                  | exception Client.Server_error { code = Protocol.Busy; _ }
+                    ->
+                      hold ()
+                in
+                hold ()))
           ()
       in
       Fun.protect
@@ -418,6 +428,32 @@ let test_outcome_counters_partition_requests () =
             (c.Protocol.requests_ok + c.Protocol.requests_error
             + c.Protocol.busy_rejections + c.Protocol.deadline_expirations)))
 
+let test_every_verb_has_a_series () =
+  with_server (fun _ _ ->
+      let snapshot = Ddg_obs.Obs.snapshot () in
+      List.iter
+        (fun verb ->
+          Alcotest.(check bool)
+            (verb ^ " has a request counter series") true
+            (List.exists
+               (fun (c : Ddg_obs.Obs.counter_snapshot) ->
+                 c.Ddg_obs.Obs.cs_name = "ddg_server_requests_verb_total"
+                 && c.cs_labels = [ ("verb", verb) ])
+               snapshot.Ddg_obs.Obs.counters))
+        Protocol.verbs)
+
+let test_pull_needs_a_cluster () =
+  with_server (fun endpoint _ ->
+      Client.with_connection ~retry_for_s:5.0 endpoint (fun client ->
+          match
+            Client.request client
+              (Protocol.Pull
+                 { kind = "trace"; key = "mtxx/tiny"; source = "node0" })
+          with
+          | _ -> Alcotest.fail "expected a typed refusal"
+          | exception Client.Server_error { code = Protocol.Internal; _ } ->
+              ()))
+
 let test_trace_lru_evicts () =
   (* daemon-facing runner knob: a 1-byte budget forces every workload's
      trace past the budget, so loading a second evicts the first while
@@ -459,5 +495,9 @@ let tests =
       test_shutdown_verb_drains;
     Alcotest.test_case "outcome counters partition requests" `Quick
       test_outcome_counters_partition_requests;
+    Alcotest.test_case "every verb has a request series" `Quick
+      test_every_verb_has_a_series;
+    Alcotest.test_case "pull is refused outside a cluster" `Quick
+      test_pull_needs_a_cluster;
     Alcotest.test_case "trace LRU evicts past budget" `Quick
       test_trace_lru_evicts ]

@@ -453,28 +453,6 @@ let test_trace_io_truncated () =
       | exception Trace_io.Corrupt _ -> ()
       | _ -> Alcotest.fail "expected Corrupt")
 
-let test_trace_io_streaming () =
-  (* the streaming writer + fold reader agree with the in-memory path *)
-  let program =
-    Ddg_asm.Assembler.assemble_string
-      "main: li t0, 5\nloop: addi t0, t0, -1\n bnez t0, loop\n halt"
-  in
-  let path = Filename.temp_file "ddg_test" ".trace" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      let oc = open_out_bin path in
-      let emit, close = Trace_io.writer oc in
-      let result = Machine.run ~on_event:emit program in
-      close ();
-      close_out oc;
-      let ic = open_in_bin path in
-      let count =
-        Trace_io.fold_channel ic ~init:0 ~f:(fun acc _ -> acc + 1)
-      in
-      close_in ic;
-      check_int "streamed all events" result.instructions count)
-
 let test_determinism () =
   let src = {|
 main:   li t0, 1000
@@ -518,5 +496,4 @@ let tests =
     Alcotest.test_case "trace io roundtrip" `Quick test_trace_io_roundtrip;
     Alcotest.test_case "trace io corrupt" `Quick test_trace_io_corrupt;
     Alcotest.test_case "trace io truncated" `Quick test_trace_io_truncated;
-    Alcotest.test_case "trace io streaming" `Quick test_trace_io_streaming;
     Alcotest.test_case "determinism" `Quick test_determinism ]

@@ -186,27 +186,6 @@ let prop_codec_roundtrip =
       && Ddg_paragraph.Dist.buckets back.lifetimes
          = Ddg_paragraph.Dist.buckets stats.lifetimes)
 
-let prop_analyze_channel_agrees =
-  QCheck.Test.make ~name:"streaming analysis equals in-memory analysis"
-    ~count:100 Test_props.arb_trace_and_config (fun (events, config) ->
-      let trace = Ddg_sim.Trace.of_list events in
-      let path = Filename.temp_file "ddg_chan" ".trace" in
-      Fun.protect
-        ~finally:(fun () -> Sys.remove path)
-        (fun () ->
-          Ddg_sim.Trace_io.write_file path trace;
-          let ic = open_in_bin path in
-          let streamed =
-            Fun.protect
-              ~finally:(fun () -> close_in ic)
-              (fun () -> Ddg_paragraph.Analyzer.analyze_channel config ic)
-          in
-          let direct =
-            Ddg_paragraph.Analyzer.analyze config
-              (Ddg_sim.Trace_io.read_file path)
-          in
-          encode_stats streamed = encode_stats direct))
-
 (* --- runner + store integration -------------------------------------------- *)
 
 let tiny_jobs runner configs =
@@ -492,7 +471,6 @@ let tests =
       test_decoder_failure_quarantines;
     Alcotest.test_case "manifest written" `Quick test_manifest;
     QCheck_alcotest.to_alcotest prop_codec_roundtrip;
-    QCheck_alcotest.to_alcotest prop_analyze_channel_agrees;
     Alcotest.test_case "warm run is cache-hot" `Quick test_warm_run_is_cache_hot;
     Alcotest.test_case "corrupt store artifact recomputed" `Quick
       test_corrupt_store_recomputes;

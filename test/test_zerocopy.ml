@@ -544,9 +544,9 @@ let test_forward_range_served () =
       let t = sample_trace () in
       put_flat store ~key:"zc/range" t;
       let expected =
-        match Store.export store ~kind:"trace" ~key:"zc/range" with
-        | Some bytes -> bytes
-        | None -> Alcotest.fail "export"
+        In_channel.with_open_bin
+          (Store.artifact_path store ~kind:"trace" ~key:"zc/range")
+          In_channel.input_all
       in
       Client.with_connection ~retry_for_s:5.0 endpoint (fun client ->
           (* deliberately tiny chunks: many round trips, exact reassembly *)
@@ -568,7 +568,9 @@ let test_forward_range_served () =
             expected (Buffer.contents buf);
           (* the reassembled bytes install digest-verified elsewhere *)
           with_store (fun other ->
-              match Store.import other (Buffer.contents buf) with
+              match
+                Store.import other (fun oc -> Buffer.output_buffer oc buf)
+              with
               | Some (kind, key) ->
                   Alcotest.(check string) "imported kind" "trace" kind;
                   Alcotest.(check string) "imported key" "zc/range" key
