@@ -6,9 +6,8 @@ let magic = "DDGADV01"
 let version = 1
 let terminator = 0xFE
 
-(* Abstract byte sinks/sources so the same code serves the artifact
-   store (channels) and the daemon protocol (strings) — the
-   {!Ddg_paragraph.Stats_codec} pattern. *)
+(* Abstract byte sinks/sources — the {!Ddg_paragraph.Stats_codec}
+   pattern. *)
 
 type sink = { put_byte : int -> unit; put_string : string -> unit }
 
@@ -17,19 +16,10 @@ type source = {
   get_exact : int -> string; (* n bytes; raises End_of_file when short *)
 }
 
-let sink_of_channel oc =
-  { put_byte = output_byte oc; put_string = output_string oc }
-
 let sink_of_buffer b =
   {
     put_byte = (fun v -> Buffer.add_char b (Char.chr (v land 0xFF)));
     put_string = Buffer.add_string b;
-  }
-
-let source_of_channel ic =
-  {
-    get_byte = (fun () -> input_byte ic);
-    get_exact = (fun n -> really_input_string ic n);
   }
 
 let source_of_string s =
@@ -181,11 +171,6 @@ let get src : Advise.t =
   | b -> corrupt "bad terminator byte %d" b
   | exception End_of_file -> corrupt "truncated terminator");
   { Advise.loops; total_ops; total_cp }
-
-let write oc t = put (sink_of_channel oc) t
-
-let read ic =
-  try get (source_of_channel ic) with End_of_file -> corrupt "truncated input"
 
 let to_string t =
   let b = Buffer.create 256 in

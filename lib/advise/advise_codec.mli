@@ -19,13 +19,8 @@ val version : int
     changes; cached artifacts keyed under other versions are then
     recomputed rather than misread. *)
 
-val write : out_channel -> Advise.t -> unit
-
-val read : in_channel -> Advise.t
-(** @raise Corrupt *)
-
 val to_string : Advise.t -> string
-(** The same canonical encoding as {!write}, in memory. *)
+(** The canonical encoding. *)
 
 val of_string : string -> Advise.t
 (** Inverse of {!to_string}; the whole string must be consumed.

@@ -219,10 +219,14 @@ let is_transport_failure = function
   | End_of_file | Protocol.Error _ | Sys_error _ | Unix.Unix_error _ -> true
   | _ -> false
 
+(* The backend's ok-response payload, undecoded: keyed answers relay
+   as these bytes, fan-outs decode them to merge. Error frames raise
+   [Client.Server_error]; a frame of another kind is a transport
+   failure. *)
 let call_backend t sessions ~deadline_ms b req =
   if Fault.fire "cluster.backend.drop" then
     raise (Unix.Unix_error (ECONNRESET, "cluster.backend.drop", b.node));
-  Client.call ~deadline_ms (session_for t sessions b) req
+  Client.call_raw ~deadline_ms (session_for t sessions b) req
 
 (* Deadline-budget propagation: [deadline_ms] is the caller's whole
    budget, measured from [t0] (when the router read the request). Every
@@ -242,10 +246,13 @@ let remaining_budget ~deadline_ms ~t0 =
 
 (* Keyed dispatch: healthy nodes in ring-successor order first, then —
    only if every circuit is open — the unhealthy ones as a last
-   resort (an open circuit is a prediction, not a proof). *)
+   resort (an open circuit is a prediction, not a proof). The answer is
+   the owner's ok-response payload, relayed as bytes, or the error to
+   send back. *)
 let dispatch_keyed t sessions ~deadline_ms ~t0 key req =
+  let error code message = Error { Protocol.code; message } in
   match snapshot t with
-  | None, _ -> error_frame No_backends "the cluster has no members"
+  | None, _ -> error No_backends "the cluster has no members"
   | Some ring, backends ->
       let plan =
         let order =
@@ -259,12 +266,12 @@ let dispatch_keyed t sessions ~deadline_ms ~t0 key req =
       let owner = Ring.owner ring key in
       let rec go = function
         | [] ->
-            error_frame No_backends
+            error No_backends
               (Printf.sprintf "no backend reachable for key %S" key)
         | b :: rest -> (
             match remaining_budget ~deadline_ms ~t0 with
             | None ->
-                error_frame Deadline_exceeded
+                error Deadline_exceeded
                   (Printf.sprintf
                      "deadline budget of %dms spent during failover"
                      deadline_ms)
@@ -272,7 +279,7 @@ let dispatch_keyed t sessions ~deadline_ms ~t0 key req =
                 match
                   call_backend t sessions ~deadline_ms:budget_ms b req
                 with
-                | resp ->
+                | payload ->
                     note_ok t b;
                     if b.node <> owner then begin
                       Obs.incr reroutes_total;
@@ -280,7 +287,7 @@ let dispatch_keyed t sessions ~deadline_ms ~t0 key req =
                         (Printf.sprintf "rerouted %s key %s: %s -> %s"
                            (Protocol.verb_name req) key owner b.node)
                     end;
-                    Protocol.Ok_response resp
+                    Ok payload
                 | exception Client.Server_error { code = Shutting_down; _ }
                   when rest <> [] ->
                     (* a draining backend takes no new work, but it is
@@ -291,7 +298,7 @@ let dispatch_keyed t sessions ~deadline_ms ~t0 key req =
                     (* typed refusal: the backend is alive; relay its
                        answer *)
                     note_ok t b;
-                    Protocol.Error_response err
+                    Error err
                 | exception e when is_transport_failure e ->
                     Obs.incr backend_errors_total;
                     note_failure t b ~why:(Printexc.to_string e);
@@ -310,7 +317,10 @@ let fan_out t sessions ~deadline_ms ~t0 req =
         match remaining_budget ~deadline_ms ~t0 with
         | None -> None
         | Some budget_ms -> (
-            match call_backend t sessions ~deadline_ms:budget_ms b req with
+            match
+              Protocol.decode_response
+                (call_backend t sessions ~deadline_ms:budget_ms b req)
+            with
             | resp ->
                 note_ok t b;
                 Some resp
@@ -570,8 +580,11 @@ let serve_request t sessions fd ~deadline_ms (req : Protocol.request) =
       stop t
   | Analyze _ | Simulate _ | Table _ | Forward_range _ | Advise _ -> (
       match Route.of_request ~size:t.size req with
-      | Some key ->
-          finish (dispatch_keyed t sessions ~deadline_ms ~t0 key req)
+      | Some key -> (
+          match dispatch_keyed t sessions ~deadline_ms ~t0 key req with
+          | Ok payload ->
+              Protocol.write_raw_frame_fd fd Protocol.ok_kind payload
+          | Error err -> finish (Error_response err))
       | None -> assert false (* keyless verbs all matched above *))
 
 let handle_connection t fd =

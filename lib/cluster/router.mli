@@ -8,17 +8,19 @@
     the transport level, the router retries the next distinct ring
     successor within the same request, so one dead backend degrades a
     key's locality (a successor recomputes or fetch-throughs) without
-    failing the call. Typed error frames from a backend relay to the
+    failing the call. The backend's ok-response relays as raw payload
+    bytes, never decoded or re-encoded, so a routed answer is the
+    owner's bytes. Typed error frames from a backend relay to the
     client unchanged — a refusal is an answer, not a failure — except
     [Shutting_down] from a draining backend, which moves on to the next
     successor (without counting against the breaker) while one is left.
 
     Keyless verbs the router answers itself: [ping] locally (router
     liveness), [locate] from the ring, [stats] and [fsck] by fanning
-    out to every backend and aggregating, [metrics] by federating every
-    node's snapshot plus its own through {!Federate.merge_snapshots},
-    and [shutdown] by acking, broadcasting shutdown to the backends,
-    and draining.
+    out to every backend and aggregating the decoded answers, [metrics]
+    by federating every node's snapshot plus its own through
+    {!Federate.merge_snapshots}, and [shutdown] by acking, broadcasting
+    shutdown to the backends, and draining.
 
     A health thread pings each backend every [health_interval_s] with a
     bounded connect timeout. [failure_threshold] consecutive failures

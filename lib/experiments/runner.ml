@@ -72,8 +72,10 @@ type t = {
          into the local store and the lookup should be retried *)
   lock : Mutex.t;  (* guards the memory caches and the counters *)
   traces : (string, trace_entry) Hashtbl.t;
-  stats : (string * string, Ddg_paragraph.Analyzer.stats) Hashtbl.t;
-  advice : (string * string, Ddg_advise.Advise.t) Hashtbl.t;
+  (* answers as canonical Stats_codec / Advise_codec bytes: encoded
+     once, then stored, cached and served as the same string *)
+  stats : (string * string, string) Hashtbl.t;
+  advice : (string * string, string) Hashtbl.t;
   mutable tick : int;
   mutable resident_bytes : int;
   mutable n_simulations : int;
@@ -353,61 +355,81 @@ let trace_aux t (w : Workload.t) ~marks =
 let trace t w = trace_aux t w ~marks:false
 let marked_trace t w = trace_aux t w ~marks:true
 
-(* --- analysis -------------------------------------------------------------- *)
+(* --- answers: canonical bytes, memory tier → store → compute ---------------
 
-let find_store_stats t w config =
+   A store hit is read through [Store.find], so its digest is checked,
+   then decoded once by [validate] and kept as bytes only: a
+   digest-valid but malformed artifact (one pulled from a peer, say)
+   raises inside the callback, so the store quarantines it and the
+   caller recomputes. *)
+
+let find_store_bytes t ~kind ~key ~validate ~hit =
   match t.store with
   | None -> None
   | Some s -> (
       let look () =
-        Store.find s ~kind:"stats" ~key:(stats_key t w config)
-          Ddg_paragraph.Stats_codec.read
+        Store.find s ~kind ~key (fun ic ->
+            let bytes = In_channel.input_all ic in
+            validate bytes;
+            bytes)
       in
       let found =
         match look () with
-        | Some _ as hit -> hit
-        | None
-          when fetch_through t ~kind:"stats" ~key:(stats_key t w config) ->
-            look ()
+        | Some _ as found -> found
+        | None when fetch_through t ~kind ~key -> look ()
         | None -> None
       in
-      match found with
-      | Some _ as hit ->
-          locked t (fun () ->
-              t.n_stats_store_hits <- t.n_stats_store_hits + 1);
-          Obs.incr hit_stats_store;
-          hit
-      | None -> None)
+      if found <> None then hit ();
+      found)
 
-let analyze t (w : Workload.t) config =
-  let key = (w.Workload.name, Ddg_paragraph.Config.describe config) in
-  match locked t (fun () -> Hashtbl.find_opt t.stats key) with
-  | Some cached ->
-      Obs.incr hit_stats_mem;
-      cached
+let find_store_stats t w config =
+  find_store_bytes t ~kind:"stats" ~key:(stats_key t w config)
+    ~validate:(fun b -> ignore (Ddg_paragraph.Stats_codec.of_string b))
+    ~hit:(fun () ->
+      locked t (fun () -> t.n_stats_store_hits <- t.n_stats_store_hits + 1);
+      Obs.incr hit_stats_store)
+
+(* A fresh answer is encoded once; the same string goes to the store,
+   the memory tier and the wire. *)
+let put_bytes t ~kind ~key ~wall bytes =
+  try_put t ~kind ~key ~wall (fun oc -> output_string oc bytes);
+  bytes
+
+let cached_bytes t tier ~mem_hit ~what (w : Workload.t) config ~find ~compute =
+  let key = (w.name, Ddg_paragraph.Config.describe config) in
+  match locked t (fun () -> Hashtbl.find_opt tier key) with
+  | Some bytes ->
+      Obs.incr mem_hit;
+      bytes
   | None ->
-      let stats =
-        match find_store_stats t w config with
-        | Some s ->
+      let bytes =
+        match find () with
+        | Some bytes ->
             t.progress
-              (Printf.sprintf "store hit: %s stats [%s]" w.name (snd key));
-            s
-        | None ->
-            let _, tr = trace t w in
-            t.progress
-              (Printf.sprintf "analyzing %s under %s" w.name (snd key));
-            let t0 = Unix.gettimeofday () in
-            let s =
-              Obs.time span_analyze (fun () -> run_analysis t config tr)
-            in
-            locked t (fun () -> t.n_analyses <- t.n_analyses + 1);
-            try_put t ~kind:"stats" ~key:(stats_key t w config)
-              ~wall:(Unix.gettimeofday () -. t0)
-              (fun oc -> Ddg_paragraph.Stats_codec.write oc s);
-            s
+              (Printf.sprintf "store hit: %s %s [%s]" w.name what (snd key));
+            bytes
+        | None -> compute ()
       in
-      locked t (fun () -> Hashtbl.replace t.stats key stats);
-      stats
+      locked t (fun () -> Hashtbl.replace tier key bytes);
+      bytes
+
+let analyze_bytes t (w : Workload.t) config =
+  cached_bytes t t.stats ~mem_hit:hit_stats_mem ~what:"stats" w config
+    ~find:(fun () -> find_store_stats t w config)
+    ~compute:(fun () ->
+      let _, tr = trace t w in
+      t.progress
+        (Printf.sprintf "analyzing %s under %s" w.name
+           (Ddg_paragraph.Config.describe config));
+      let t0 = Unix.gettimeofday () in
+      let s = Obs.time span_analyze (fun () -> run_analysis t config tr) in
+      locked t (fun () -> t.n_analyses <- t.n_analyses + 1);
+      put_bytes t ~kind:"stats" ~key:(stats_key t w config)
+        ~wall:(Unix.gettimeofday () -. t0)
+        (Ddg_paragraph.Stats_codec.to_string s))
+
+let analyze t w config =
+  Ddg_paragraph.Stats_codec.of_string (analyze_bytes t w config)
 
 (* --- the parallelization advisor -------------------------------------------
 
@@ -418,58 +440,28 @@ let analyze t (w : Workload.t) config =
    report computed anywhere (in-process, daemon, cluster peer) encodes
    to identical bytes. *)
 
-let find_store_advice t w config =
-  match t.store with
-  | None -> None
-  | Some s -> (
-      let look () =
-        Store.find s ~kind:"advise" ~key:(advise_key t w config)
-          Ddg_advise.Advise_codec.read
+let advise_bytes t (w : Workload.t) config =
+  cached_bytes t t.advice ~mem_hit:hit_advise_mem ~what:"advice" w config
+    ~find:(fun () ->
+      find_store_bytes t ~kind:"advise" ~key:(advise_key t w config)
+        ~validate:(fun b -> ignore (Ddg_advise.Advise_codec.of_string b))
+        ~hit:(fun () -> Obs.incr hit_advise_store))
+    ~compute:(fun () ->
+      let _, tr = marked_trace t w in
+      t.progress
+        (Printf.sprintf "advising %s under %s" w.name
+           (Ddg_paragraph.Config.describe config));
+      let t0 = Unix.gettimeofday () in
+      let r =
+        Obs.time span_advise (fun () -> Ddg_advise.Advise.analyze ~config tr)
       in
-      let found =
-        match look () with
-        | Some _ as hit -> hit
-        | None
-          when fetch_through t ~kind:"advise" ~key:(advise_key t w config) ->
-            look ()
-        | None -> None
-      in
-      match found with
-      | Some _ as hit ->
-          Obs.incr hit_advise_store;
-          hit
-      | None -> None)
+      Obs.incr advises_total;
+      put_bytes t ~kind:"advise" ~key:(advise_key t w config)
+        ~wall:(Unix.gettimeofday () -. t0)
+        (Ddg_advise.Advise_codec.to_string r))
 
-let advise t (w : Workload.t) config =
-  let key = (w.Workload.name, Ddg_paragraph.Config.describe config) in
-  match locked t (fun () -> Hashtbl.find_opt t.advice key) with
-  | Some cached ->
-      Obs.incr hit_advise_mem;
-      cached
-  | None ->
-      let report =
-        match find_store_advice t w config with
-        | Some r ->
-            t.progress
-              (Printf.sprintf "store hit: %s advice [%s]" w.name (snd key));
-            r
-        | None ->
-            let _, tr = marked_trace t w in
-            t.progress
-              (Printf.sprintf "advising %s under %s" w.name (snd key));
-            let t0 = Unix.gettimeofday () in
-            let r =
-              Obs.time span_advise (fun () ->
-                  Ddg_advise.Advise.analyze ~config tr)
-            in
-            Obs.incr advises_total;
-            try_put t ~kind:"advise" ~key:(advise_key t w config)
-              ~wall:(Unix.gettimeofday () -. t0)
-              (fun oc -> Ddg_advise.Advise_codec.write oc r);
-            r
-      in
-      locked t (fun () -> Hashtbl.replace t.advice key report);
-      report
+let advise t w config =
+  Ddg_advise.Advise_codec.of_string (advise_bytes t w config)
 
 (* Cache fill, three layers deep: jobs already in the memory cache are
    dropped; stats present in the disk store are loaded without touching
@@ -553,13 +545,15 @@ let prefetch t jobs =
                in
                List.iter2
                  (fun config s ->
-                   try_put t ~kind:"stats" ~key:(stats_key t w config)
-                     ~wall:wall_each
-                     (fun oc -> Ddg_paragraph.Stats_codec.write oc s);
+                   let bytes =
+                     put_bytes t ~kind:"stats" ~key:(stats_key t w config)
+                       ~wall:wall_each
+                       (Ddg_paragraph.Stats_codec.to_string s)
+                   in
                    locked t (fun () ->
                        Hashtbl.replace t.stats
                          (w.name, Ddg_paragraph.Config.describe config)
-                         s))
+                         bytes))
                  configs stats)))
       (List.rev !order);
     Jobs.run ~workers:t.workers

@@ -112,24 +112,38 @@ val marked_trace :
     on, loop table and marks side channel populated), cached under
     {!marked_trace_key}. *)
 
+val analyze_bytes :
+  t -> Ddg_workloads.Workload.t -> Ddg_paragraph.Config.t -> string
+(** Analyze a workload's trace under a configuration (memory cache →
+    disk store → analyze) and return the result's canonical
+    {!Ddg_paragraph.Stats_codec} bytes — the form the memory cache
+    holds, the store persists and the daemon serves. A fresh result is
+    encoded once; a memory hit returns the cached string itself. A
+    store hit is digest-checked and decoded once before it is cached,
+    so a malformed artifact is quarantined and recomputed. *)
+
 val analyze :
   t ->
   Ddg_workloads.Workload.t ->
   Ddg_paragraph.Config.t ->
   Ddg_paragraph.Analyzer.stats
-(** Analyze a workload's trace under a configuration (memory cache →
-    disk store → analyze). *)
+(** {!analyze_bytes}, decoded. *)
+
+val advise_bytes :
+  t -> Ddg_workloads.Workload.t -> Ddg_paragraph.Config.t -> string
+(** Classify the workload's loops ({!Ddg_advise.Advise.analyze} over
+    its loop-marked trace) and return the report's canonical
+    {!Ddg_advise.Advise_codec} bytes, with the same memory → store →
+    compute discipline as {!analyze_bytes} (store kind ["advise"]).
+    Deterministic: the bytes are identical wherever they are
+    computed. *)
 
 val advise :
   t ->
   Ddg_workloads.Workload.t ->
   Ddg_paragraph.Config.t ->
   Ddg_advise.Advise.t
-(** Classify the workload's loops ({!Ddg_advise.Advise.analyze} over
-    its loop-marked trace), with the same memory → store → compute
-    discipline as {!analyze} (store kind ["advise"]). Deterministic:
-    the report's canonical encoding is bit-identical wherever it is
-    computed. *)
+(** {!advise_bytes}, decoded. *)
 
 val prefetch :
   t -> (Ddg_workloads.Workload.t * Ddg_paragraph.Config.t) list -> unit

@@ -179,7 +179,8 @@ module Pool = struct
 
   (* [run] executes the closure and completes the ticket; [abort] fails
      the ticket without running it — the supervisor's lever when the
-     worker domain dies between dequeuing a task and finishing it. *)
+     worker domain dies between dequeuing a task and finishing it. Both
+     free the task's inflight slot (see [release]). *)
   type task = { run : unit -> unit; abort : exn -> unit }
 
   type t = {
@@ -225,12 +226,8 @@ module Pool = struct
              task.run ()
            with e ->
              task.abort (Worker_crashed (Printexc.to_string e));
-             Mutex.lock p.plock;
-             p.inflight <- p.inflight - 1;
-             Mutex.unlock p.plock;
              raise e);
           Mutex.lock p.plock;
-          p.inflight <- p.inflight - 1;
           loop ()
       | None ->
           if p.stop then Mutex.unlock p.plock
@@ -285,6 +282,15 @@ module Pool = struct
 
   let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
+  (* A task frees its inflight slot once, from [run] or from [abort],
+     and before its ticket can be seen complete: a caller submitting
+     again as soon as [await] returns is never refused for a slot its
+     finished request still held. *)
+  let release p =
+    Mutex.lock p.plock;
+    p.inflight <- p.inflight - 1;
+    Mutex.unlock p.plock
+
   let submit p ?max_inflight f =
     Mutex.lock p.plock;
     let refused =
@@ -303,6 +309,7 @@ module Pool = struct
           cancelled = Atomic.make false }
       in
       let complete result =
+        release p;
         Mutex.lock ticket.tlock;
         (match ticket.outcome with
         | Abandoned ->
@@ -440,9 +447,10 @@ module Pool = struct
           let run () =
             if t_submit > 0 then
               Obs.observe span_queue_wait (Obs.Clock.now_ns () - t_submit);
-            Obs.time span_run claim
+            Obs.time span_run claim;
+            release p
           in
-          Queue.add { run; abort = (fun _ -> ()) } p.pqueue
+          Queue.add { run; abort = (fun _ -> release p) } p.pqueue
         done;
         Condition.broadcast p.pcond
       end;

@@ -6,9 +6,9 @@ let magic = "DDGSTA01"
 let version = 1
 let terminator = 0xFE
 
-(* The encoders and decoders are written once against abstract byte
-   sinks/sources so the same code serves both the artifact store
-   (channels) and the daemon protocol (in-memory strings). *)
+(* The encoders and decoders are written against abstract byte
+   sinks/sources: a buffer to encode into, a bounded cursor over a
+   string to decode from. *)
 
 type sink = { put_byte : int -> unit; put_string : string -> unit }
 
@@ -17,16 +17,9 @@ type source = {
   get_exact : int -> string; (* n bytes; raises End_of_file when short *)
 }
 
-let sink_of_channel oc =
-  { put_byte = output_byte oc; put_string = output_string oc }
-
 let sink_of_buffer b =
   { put_byte = (fun v -> Buffer.add_char b (Char.chr (v land 0xFF)));
     put_string = Buffer.add_string b }
-
-let source_of_channel ic =
-  { get_byte = (fun () -> input_byte ic);
-    get_exact = (fun n -> really_input_string ic n) }
 
 (* Reading from a string: the length check before [String.sub] bounds
    every allocation by the bytes actually present. *)
@@ -201,9 +194,6 @@ let get src : Analyzer.stats =
   { Analyzer.events; placed_ops; syscalls; critical_path;
     available_parallelism; profile; storage_profile; lifetimes; sharing;
     live_locations; mispredicts }
-
-let write oc s = put (sink_of_channel oc) s
-let read ic = get (source_of_channel ic)
 
 let to_string s =
   let b = Buffer.create 512 in

@@ -8,12 +8,12 @@
     magic/version header — varint-encoded counters, IEEE-754 bits for
     floats, and the bucketed forms of {!Profile.t} and {!Dist.t}.
 
-    The encoding is canonical: serialising the result of {!read} yields
+    The encoding is canonical: serialising the result of {!of_string} yields
     the same bytes, so byte equality of encodings is a sound (and the
     cheapest) test for stats equality. *)
 
 exception Corrupt of string
-(** Raised by {!read} on malformed or version-mismatched input. *)
+(** Raised by {!of_string} on malformed or version-mismatched input. *)
 
 val version : int
 (** Version of the analyzer semantics plus this encoding. Bump whenever
@@ -21,17 +21,10 @@ val version : int
     changes; cached artifacts keyed under other versions are then
     ignored and recomputed rather than misread. *)
 
-val write : out_channel -> Analyzer.stats -> unit
-
-val read : in_channel -> Analyzer.stats
-(** @raise Corrupt *)
-
 val to_string : Analyzer.stats -> string
-(** The same canonical encoding as {!write}, in memory — the stats
-    payload of the daemon protocol's analyze response. *)
+(** The canonical encoding: the stats artifact's payload, the runner's
+    cached answer and the daemon protocol's analyze response. *)
 
 val of_string : string -> Analyzer.stats
-(** Inverse of {!to_string}. Stricter than {!read}: the whole string
-    must be consumed (a channel may carry further payloads after the
-    stats blob; a protocol frame may not).
+(** Inverse of {!to_string}; the whole string must be consumed.
     @raise Corrupt *)

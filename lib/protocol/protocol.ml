@@ -597,13 +597,17 @@ let c_obs_snapshot c : Ddg_obs.Obs.snapshot =
   in
   { Ddg_obs.Obs.counters; histograms }
 
+(* An analyze or advise answer is its canonical codec bytes behind the
+   response tag and a length, so a cached answer can go on the wire
+   without a codec pass ([answer_payload]). *)
+let e_blob b tag blob =
+  e_varint b tag;
+  e_varint b (String.length blob);
+  Buffer.add_string b blob
+
 let e_response b = function
   | Pong -> e_varint b 0
-  | Analyzed stats ->
-      e_varint b 1;
-      let payload = Ddg_paragraph.Stats_codec.to_string stats in
-      e_varint b (String.length payload);
-      Buffer.add_string b payload
+  | Analyzed stats -> e_blob b 1 (Ddg_paragraph.Stats_codec.to_string stats)
   | Simulated s ->
       e_varint b 2;
       e_varint b s.instructions;
@@ -631,11 +635,7 @@ let e_response b = function
   | Located { node } ->
       e_varint b 8;
       e_string ~max:max_name b node
-  | Advised report ->
-      e_varint b 10;
-      let payload = Ddg_advise.Advise_codec.to_string report in
-      e_varint b (String.length payload);
-      Buffer.add_string b payload
+  | Advised report -> e_blob b 10 (Ddg_advise.Advise_codec.to_string report)
   | Members { members } ->
       e_varint b 11;
       e_members b members
@@ -735,10 +735,12 @@ let truncate_message m =
 
 (* --- frames ------------------------------------------------------------------ *)
 
+let ok_kind = 3
+
 let frame_kind = function
   | Hello _ -> 1
   | Request _ -> 2
-  | Ok_response _ -> 3
+  | Ok_response _ -> ok_kind
   | Error_response _ -> 4
 
 let encode_payload b = function
@@ -755,98 +757,79 @@ let encode_payload b = function
       e_varint b (error_code_tag code);
       e_string ~max:max_message b (truncate_message message)
 
-let decode_payload kind payload =
-  let c = { data = payload; pos = 0 } in
-  let frame =
-    match kind with
-    | 1 ->
-        let protocol = c_varint c in
-        let software = c_string ~max:max_name c in
-        let node = c_string ~max:max_name c in
-        Hello { protocol; software; node }
-    | 2 ->
-        let deadline_ms = c_varint c in
-        let attempt = c_varint c in
-        let request = c_request c in
-        Request { deadline_ms; attempt; request }
-    | 3 -> Ok_response (c_response c)
-    | 4 ->
-        let code = error_code_of_tag (c_varint c) in
-        let message = c_string ~max:max_message c in
-        Error_response { code; message }
-    | k -> fail "bad frame kind %d" k
-  in
-  if c.pos <> String.length payload then
-    fail "%d trailing bytes after frame payload" (String.length payload - c.pos);
-  frame
-
-let frame_to_string frame =
-  let payload = Buffer.create 64 in
-  encode_payload payload frame;
-  let n = Buffer.length payload in
-  if n > max_frame_bytes then fail "frame payload of %d bytes too large" n;
-  let b = Buffer.create (n + 9) in
-  Buffer.add_string b magic;
-  e_byte b (frame_kind frame);
-  e_byte b ((n lsr 24) land 0xFF);
-  e_byte b ((n lsr 16) land 0xFF);
-  e_byte b ((n lsr 8) land 0xFF);
-  e_byte b (n land 0xFF);
-  Buffer.add_buffer b payload;
+let to_payload encode v =
+  let b = Buffer.create 64 in
+  encode b v;
   Buffer.contents b
 
-let decode_header ~magic_bytes ~kind ~len =
-  if magic_bytes <> magic then fail "bad frame magic";
+let encode_response = to_payload e_response
+
+let answer_payload answer blob =
+  let b = Buffer.create (String.length blob + 12) in
+  e_blob b (match answer with `Analyzed -> 1 | `Advised -> 10) blob;
+  Buffer.contents b
+
+(* every payload must be consumed exactly: trailing bytes are garbage *)
+let of_payload decode payload =
+  let c = { data = payload; pos = 0 } in
+  let v = decode c in
+  if c.pos <> String.length payload then
+    fail "%d trailing bytes after frame payload" (String.length payload - c.pos);
+  v
+
+let decode_response = of_payload c_response
+
+let decode_frame kind =
+  of_payload (fun c ->
+      match kind with
+      | 1 ->
+          let protocol = c_varint c in
+          let software = c_string ~max:max_name c in
+          let node = c_string ~max:max_name c in
+          Hello { protocol; software; node }
+      | 2 ->
+          let deadline_ms = c_varint c in
+          let attempt = c_varint c in
+          let request = c_request c in
+          Request { deadline_ms; attempt; request }
+      | 3 -> Ok_response (c_response c)
+      | 4 ->
+          let code = error_code_of_tag (c_varint c) in
+          let message = c_string ~max:max_message c in
+          Error_response { code; message }
+      | k -> fail "bad frame kind %d" k)
+
+(* header: magic, kind byte, big-endian payload length *)
+let raw_frame kind payload =
+  let n = String.length payload in
+  if n > max_frame_bytes then fail "frame payload of %d bytes too large" n;
+  let b = Bytes.create (n + 9) in
+  Bytes.blit_string magic 0 b 0 4;
+  Bytes.set_uint8 b 4 kind;
+  Bytes.set_int32_be b 5 (Int32.of_int n);
+  Bytes.blit_string payload 0 b 9 n;
+  b
+
+(* the declared length is checked against the cap before anything is
+   allocated for the payload *)
+let parse_header h =
+  if Bytes.sub_string h 0 4 <> magic then fail "bad frame magic";
+  let len = Int32.to_int (Bytes.get_int32_be h 5) land 0xFFFF_FFFF in
   if len > max_frame_bytes then
     fail "declared frame payload of %d bytes exceeds limit %d" len
       max_frame_bytes;
-  ignore kind
+  (Bytes.get_uint8 h 4, len)
+
+let frame_to_string frame =
+  Bytes.unsafe_to_string
+    (raw_frame (frame_kind frame) (to_payload encode_payload frame))
 
 let frame_of_string s =
   if String.length s < 9 then fail "truncated frame header";
-  let magic_bytes = String.sub s 0 4 in
-  let kind = Char.code s.[4] in
-  let len =
-    (Char.code s.[5] lsl 24)
-    lor (Char.code s.[6] lsl 16)
-    lor (Char.code s.[7] lsl 8)
-    lor Char.code s.[8]
-  in
-  decode_header ~magic_bytes ~kind ~len;
+  let kind, len = parse_header (Bytes.of_string (String.sub s 0 9)) in
   if String.length s - 9 < len then fail "truncated frame payload";
   if String.length s - 9 > len then fail "trailing bytes after frame";
-  decode_payload kind (String.sub s 9 len)
-
-let write_frame oc frame =
-  output_string oc (frame_to_string frame);
-  flush oc
-
-let read_frame ic =
-  (* a clean close before any header byte surfaces as End_of_file from
-     this first read; anything partial after it is End_of_file too (the
-     peer vanished mid-frame) and the caller treats both as disconnect *)
-  let magic_bytes = really_input_string ic 4 in
-  let kind = input_byte ic in
-  let len =
-    let b0 = input_byte ic in
-    let b1 = input_byte ic in
-    let b2 = input_byte ic in
-    let b3 = input_byte ic in
-    (b0 lsl 24) lor (b1 lsl 16) lor (b2 lsl 8) lor b3
-  in
-  decode_header ~magic_bytes ~kind ~len;
-  (* chunked payload read: allocation per step is bounded by the chunk
-     size, never by the untrusted declared length *)
-  let buf = Buffer.create (min len 65536) in
-  let chunk = Bytes.create (min (max len 1) 65536) in
-  let remaining = ref len in
-  while !remaining > 0 do
-    let n = min !remaining (Bytes.length chunk) in
-    really_input ic chunk 0 n;
-    Buffer.add_subbytes buf chunk 0 n;
-    remaining := !remaining - n
-  done;
-  decode_payload kind (Buffer.contents buf)
+  decode_frame kind (String.sub s 9 len)
 
 (* --- raw file-descriptor frame I/O ------------------------------------------ *)
 
@@ -901,22 +884,16 @@ let really_write_fd fd buf pos len =
   in
   go pos len
 
-let write_frame_fd fd frame =
-  let bytes = Bytes.unsafe_of_string (frame_to_string frame) in
-  really_write_fd fd bytes 0 (Bytes.length bytes)
+(* The one frame reader and writer move a frame as its kind byte and
+   undecoded payload; the typed pair below is decode / encode around
+   them, and callers relaying a payload they need not read skip it. *)
 
-let read_frame_fd fd =
+let read_raw_frame_fd fd =
   let header = Bytes.create 9 in
   really_read_fd fd header 0 9;
-  let magic_bytes = Bytes.sub_string header 0 4 in
-  let kind = Char.code (Bytes.get header 4) in
-  let len =
-    (Char.code (Bytes.get header 5) lsl 24)
-    lor (Char.code (Bytes.get header 6) lsl 16)
-    lor (Char.code (Bytes.get header 7) lsl 8)
-    lor Char.code (Bytes.get header 8)
-  in
-  decode_header ~magic_bytes ~kind ~len;
+  let kind, len = parse_header header in
+  (* chunked payload read: allocation per step is bounded by the chunk
+     size, never by the untrusted declared length *)
   let buf = Buffer.create (min len 65536) in
   let chunk = Bytes.create (min (max len 1) 65536) in
   let remaining = ref len in
@@ -926,4 +903,15 @@ let read_frame_fd fd =
     Buffer.add_subbytes buf chunk 0 n;
     remaining := !remaining - n
   done;
-  decode_payload kind (Buffer.contents buf)
+  (kind, Buffer.contents buf)
+
+let write_raw_frame_fd fd kind payload =
+  let b = raw_frame kind payload in
+  really_write_fd fd b 0 (Bytes.length b)
+
+let read_frame_fd fd =
+  let kind, payload = read_raw_frame_fd fd in
+  decode_frame kind payload
+
+let write_frame_fd fd frame =
+  write_raw_frame_fd fd (frame_kind frame) (to_payload encode_payload frame)

@@ -30,8 +30,10 @@
     Analysis configurations travel as their full switch settings plus
     the tabulated latency function
     ({!Ddg_paragraph.Config.latency_table}), so a served analysis is
-    bit-identical to an in-process one. Stats payloads reuse the
-    canonical {!Ddg_paragraph.Stats_codec} encoding unchanged. *)
+    bit-identical to an in-process one. Stats and advice payloads are
+    the canonical {!Ddg_paragraph.Stats_codec} and
+    {!Ddg_advise.Advise_codec} bytes unchanged, so a cached answer is
+    framed without a codec pass ({!answer_payload}). *)
 
 val version : int
 (** Protocol revision; bumped on any frame-format change. Exchanged in
@@ -244,16 +246,8 @@ val idempotent : request -> bool
 
 val error_code_name : error_code -> string
 
-val write_frame : out_channel -> frame -> unit
-(** Encode and write one frame, then flush. *)
-
-val read_frame : in_channel -> frame
-(** Read and decode one frame.
-    @raise Error on malformed input
-    @raise End_of_file when the peer closed before or inside a frame *)
-
 val frame_to_string : frame -> string
-(** The exact bytes {!write_frame} would emit. The encoding is
+(** The exact bytes {!write_frame_fd} writes. The encoding is
     canonical: [frame_to_string (frame_of_string s) = s] for any [s]
     this module produced. *)
 
@@ -261,29 +255,55 @@ val frame_of_string : string -> frame
 (** Decode one frame from a string, rejecting trailing bytes.
     @raise Error *)
 
-(** {2 Raw file-descriptor frame I/O}
+val ok_kind : int
+(** The kind byte of an [Ok_response] frame. *)
 
-    The daemon and client exchange frames directly over
+val decode_frame : int -> string -> frame
+(** Decode a frame from its kind byte and payload.
+    @raise Error *)
+
+val encode_response : response -> string
+(** The payload of an [Ok_response]. *)
+
+val decode_response : string -> response
+(** Inverse of {!encode_response}.
+    @raise Error *)
+
+val answer_payload : [ `Analyzed | `Advised ] -> string -> string
+(** The payload answering an [Analyze] ([`Analyzed]) or [Advise] built
+    straight from the answer's canonical codec bytes, without decoding
+    them: [answer_payload `Analyzed b] is
+    [encode_response (Analyzed (Stats_codec.of_string b))]. *)
+
+(** {2 File-descriptor frame I/O}
+
+    The daemon, client and router exchange frames directly over
     [Unix.file_descr] through one syscall wrapper that restarts on
     [EINTR] and loops over short reads/writes, so a signal arriving
     mid-frame can never surface as [Unix_error (EINTR, _, _)]. Genuine
     peer loss ([ECONNRESET], [EPIPE], a 0-byte read) still propagates:
-    [End_of_file] or [Unix_error] mean the connection is gone. *)
+    [End_of_file] or [Unix_error] mean the connection is gone.
 
-val write_frame_fd : Unix.file_descr -> frame -> unit
-(** Encode and write one frame, restarting on [EINTR] and continuing
-    over short writes until every byte is out. *)
+    The one reader and writer move a frame as its kind byte and
+    undecoded payload; the typed pair decodes or encodes around them.
+    A router relays an ok-response without parsing it and a daemon
+    frames cached answer bytes without a codec pass: the bytes on the
+    wire are the typed frame's either way. *)
 
-val read_frame_fd : Unix.file_descr -> frame
-(** Read and decode one frame, restarting on [EINTR] and looping over
-    short reads.
-    @raise Error on malformed input
+val read_raw_frame_fd : Unix.file_descr -> int * string
+(** One frame's kind byte and payload, undecoded. The magic and the
+    {!max_frame_bytes} cap are checked before the payload is read, in
+    bounded chunks.
+    @raise Error on a bad header
     @raise End_of_file when the peer closed before or inside a frame *)
 
-val really_read_fd : Unix.file_descr -> Bytes.t -> int -> int -> unit
-(** [really_read_fd fd buf pos len] fills [buf.[pos..pos+len)] from
-    [fd], restarting on [EINTR].
-    @raise End_of_file on a 0-byte read *)
+val write_raw_frame_fd : Unix.file_descr -> int -> string -> unit
+(** [write_raw_frame_fd fd kind payload] writes one frame in a single
+    buffer.
+    @raise Error when the payload exceeds {!max_frame_bytes} *)
 
-val really_write_fd : Unix.file_descr -> Bytes.t -> int -> int -> unit
-(** Write all [len] bytes, restarting on [EINTR]. *)
+val read_frame_fd : Unix.file_descr -> frame
+(** {!read_raw_frame_fd}, then {!decode_frame}. *)
+
+val write_frame_fd : Unix.file_descr -> frame -> unit
+(** Encode one frame, then {!write_raw_frame_fd} it. *)

@@ -104,17 +104,21 @@ let connect ?(retry_for_s = 0.0) ?connect_timeout_s ?(node = "") endpoint =
 let server_software t = t.software
 let server_node t = t.node
 
+(* One round trip returning the ok-response payload undecoded; only an
+   error frame (or a frame of the wrong kind) is decoded here. *)
 let request_attempt ~deadline_ms ~attempt t req =
   if t.closed then invalid_arg "Client.request: connection is closed";
   Protocol.write_frame_fd t.fd (Request { deadline_ms; attempt; request = req });
-  match Protocol.read_frame_fd t.fd with
-  | Ok_response response -> response
-  | Error_response err -> raise (Server_error err)
-  | Hello _ | Request _ ->
-      raise (Protocol.Error "expected a response frame")
+  match Protocol.read_raw_frame_fd t.fd with
+  | kind, payload when kind = Protocol.ok_kind -> payload
+  | kind, payload -> (
+      match Protocol.decode_frame kind payload with
+      | Error_response err -> raise (Server_error err)
+      | Hello _ | Request _ | Ok_response _ ->
+          raise (Protocol.Error "expected a response frame"))
 
 let request ?(deadline_ms = 0) t req =
-  request_attempt ~deadline_ms ~attempt:0 t req
+  Protocol.decode_response (request_attempt ~deadline_ms ~attempt:0 t req)
 
 let close t =
   if not t.closed then begin
@@ -198,7 +202,9 @@ let backoff ?(until = infinity) s =
   let delay = Float.min delay (until -. Unix.gettimeofday ()) in
   if delay > 0.0 then Unix.sleepf delay
 
-let call ?(deadline_ms = 0) s req =
+(* The retry loop behind [call] and [call_raw]; [decode] runs inside it,
+   so a malformed answer is a lost connection like any other. *)
+let call_with decode ~deadline_ms s req =
   (* [deadline_ms] is a budget for the whole call, not per attempt:
      attempts x backoff must not overshoot it, so once the clock runs
      out no further replay starts and the last failure propagates *)
@@ -233,7 +239,7 @@ let call ?(deadline_ms = 0) s req =
             s.conn <- Some c;
             c
       in
-      request_attempt ~deadline_ms ~attempt conn req
+      decode (request_attempt ~deadline_ms ~attempt conn req)
     with
     | response ->
         s.prev_delay <- s.retry.base_delay_s;
@@ -255,6 +261,11 @@ let call ?(deadline_ms = 0) s req =
         go (attempt + 1)
   in
   go 0
+
+let call_raw ?(deadline_ms = 0) s req = call_with Fun.id ~deadline_ms s req
+
+let call ?(deadline_ms = 0) s req =
+  call_with Protocol.decode_response ~deadline_ms s req
 
 let with_session ?retry ?retry_for_s ?connect_timeout_s endpoint f =
   let s = session ?retry ?retry_for_s ?connect_timeout_s endpoint in

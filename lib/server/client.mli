@@ -103,6 +103,14 @@ val call :
     never outlives its caller's deadline however many attempts the
     retry policy would otherwise allow. *)
 
+val call_raw :
+  ?deadline_ms:int -> session -> Ddg_protocol.Protocol.request -> string
+(** {!call} without the decode: the ok-response frame's payload bytes,
+    exactly as the server sent them ({!Ddg_protocol.Protocol.decode_response}
+    turns them into the response {!call} returns). Error frames still
+    raise {!Server_error}, and the retry policy is {!call}'s. A router
+    relays these bytes unparsed. *)
+
 val session_retries : session -> int
 (** Replays this session has performed (0 when every call succeeded
     first try). *)

@@ -125,14 +125,16 @@ let find_workload name =
              Printf.sprintf "unknown workload %S (known: %s)" name
                (String.concat ", " Ddg_workloads.Registry.names) ))
 
-(* [cancelled] is the pool ticket's abandonment poll: once the awaiting
-   handler times out, nobody will read this result, so a job still
-   sitting in the queue gives its slot back immediately instead of
+(* The result is the ok-response payload: [Analyze] and [Advise] answer
+   with the runner's cached canonical bytes, framed without a codec
+   pass. [cancelled] is the pool ticket's abandonment poll: once the
+   awaiting handler times out, nobody will read this result, so a job
+   still sitting in the queue gives its slot back immediately instead of
    computing into the void. Heavy verbs only check on entry — a
    mid-analysis bail-out would need plumbing through the analyzer — so
    an already-running job holds its slot to completion (the documented
    backpressure). *)
-let compute t (req : Protocol.request) cancelled : Protocol.response =
+let compute t (req : Protocol.request) cancelled : string =
   if cancelled () then
     raise (Reject (Protocol.Deadline_exceeded, "abandoned before execution"));
   match req with
@@ -146,22 +148,25 @@ let compute t (req : Protocol.request) cancelled : Protocol.response =
         end
       in
       if delay_ms > 0 then nap ();
-      Pong
+      Protocol.encode_response Pong
   | Analyze { workload; config } ->
-      Analyzed (Runner.analyze t.runner (find_workload workload) config)
+      Protocol.answer_payload `Analyzed
+        (Runner.analyze_bytes t.runner (find_workload workload) config)
   | Advise { workload; config } ->
-      Advised (Runner.advise t.runner (find_workload workload) config)
+      Protocol.answer_payload `Advised
+        (Runner.advise_bytes t.runner (find_workload workload) config)
   | Simulate { workload } ->
       let result, trace = Runner.trace t.runner (find_workload workload) in
-      Simulated
-        { instructions = result.Ddg_sim.Machine.instructions;
-          syscalls = result.syscalls;
-          output_bytes = String.length result.output;
-          memory_footprint = result.memory_footprint;
-          trace_events = Ddg_sim.Trace.length trace }
+      Protocol.encode_response
+        (Simulated
+           { instructions = result.Ddg_sim.Machine.instructions;
+             syscalls = result.syscalls;
+             output_bytes = String.length result.output;
+             memory_footprint = result.memory_footprint;
+             trace_events = Ddg_sim.Trace.length trace })
   | Table { name } -> (
       match List.assoc_opt name tables with
-      | Some render -> Rendered (render t.runner)
+      | Some render -> Protocol.encode_response (Rendered (render t.runner))
       | None ->
           raise
             (Reject
@@ -178,12 +183,13 @@ let compute t (req : Protocol.request) cancelled : Protocol.response =
                ))
       | Some store ->
           let r = Ddg_store.Store.fsck store in
-          Fsck_report
-            { scanned = r.Ddg_store.Store.scanned;
-              valid = r.valid;
-              quarantined = r.quarantined;
-              missing = r.missing;
-              swept_temps = r.swept_temps })
+          Protocol.encode_response
+            (Fsck_report
+               { scanned = r.Ddg_store.Store.scanned;
+                 valid = r.valid;
+                 quarantined = r.quarantined;
+                 missing = r.missing;
+                 swept_temps = r.swept_temps }))
   | Server_stats | Shutdown | Metrics | Locate _ | Forward_range _ | Join _
   | Decommission _ | Ring_update _ | Store_list | Pull _ ->
       (* Handled inline by the connection handler; never queued. *)
@@ -199,10 +205,13 @@ let error_frame code message =
 let serve_request t fd ~deadline_ms ~attempt (req : Protocol.request) =
   let verb = Protocol.verb_name req in
   let t0 = Obs.Clock.now_ns () in
-  let finish (outcome : Metrics.outcome) frame =
+  let send (outcome : Metrics.outcome) write =
     Metrics.record t.metrics ~attempt ~verb ~outcome
       ~latency_ns:(Obs.Clock.now_ns () - t0) ();
-    Obs.time span_encode (fun () -> Protocol.write_frame_fd fd frame)
+    Obs.time span_encode write
+  in
+  let finish outcome frame =
+    send outcome (fun () -> Protocol.write_frame_fd fd frame)
   in
   match req with
   | Server_stats -> finish `Ok (Ok_response (Telemetry (stats t)))
@@ -288,7 +297,9 @@ let serve_request t fd ~deadline_ms ~attempt (req : Protocol.request) =
             else t.default_deadline_s
           in
           match Pool.await ~timeout_s ticket with
-          | Ok response -> finish `Ok (Ok_response response)
+          | Ok payload ->
+              send `Ok (fun () ->
+                  Protocol.write_raw_frame_fd fd Protocol.ok_kind payload)
           | Error `Timeout ->
               finish `Deadline
                 (error_frame Deadline_exceeded
@@ -453,7 +464,7 @@ let run t =
       | `Unix path -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
       | `Tcp _ -> ())
     t.endpoints;
-  (* Unblock handlers parked in [read_frame] waiting for a next request
+  (* Unblock handlers parked in [read_frame_fd] waiting for a next request
      so they observe EOF and finish. *)
   locked t (fun () ->
       List.iter

@@ -645,6 +645,107 @@ let poll_until ?(timeout_s = 10.0) what pred =
   in
   go ()
 
+(* Warm answers travel as canonical bytes. For one analyze and one
+   advise key, with the owner fresh, warm in memory, and warm only in its
+   store (its runner restarted on the same store), the payload the router
+   relays equals the owner's direct payload, ends in the in-process codec
+   bytes, and frames to exactly the typed frame's bytes. *)
+let test_routed_answers_are_canonical_bytes () =
+  let w = Option.get (Ddg_workloads.Registry.find "mtxx") in
+  let local = Runner.create ~size:tiny () in
+  let stats =
+    Ddg_paragraph.Stats_codec.to_string (Runner.analyze local w Config.default)
+  in
+  let report =
+    Ddg_advise.Advise_codec.to_string (Runner.advise local w Config.default)
+  in
+  let answers =
+    [ ( Protocol.Analyze { workload = "mtxx"; config = Config.default },
+        stats,
+        Protocol.Analyzed (Ddg_paragraph.Stats_codec.of_string stats) );
+      ( Protocol.Advise { workload = "mtxx"; config = Config.default },
+        report,
+        Protocol.Advised (Ddg_advise.Advise_codec.of_string report) ) ]
+  in
+  let ok_frame payload =
+    let len = Bytes.create 4 in
+    Bytes.set_int32_be len 0 (Int32.of_int (String.length payload));
+    "DDGP\x03" ^ Bytes.to_string len ^ payload
+  in
+  let advise_store_hits () =
+    counter_value ~labels:[ ("cache", "advise_store") ]
+      "ddg_runner_cache_hits_total"
+  in
+  with_fleet ~nodes:2 ~router:() (fun ~members ~backends ~router_endpoint ->
+      let ring =
+        Ring.create (List.map (fun (m : Fleet.member) -> m.Fleet.node) members)
+      in
+      let owner, (owner_backend : Fleet.backend) =
+        List.find
+          (fun ((m : Fleet.member), _) ->
+            m.Fleet.node = Ring.owner ring "mtxx/tiny")
+          (List.combine members backends)
+      in
+      let raw endpoint req =
+        Client.with_session ~retry_for_s:5.0 endpoint (fun s ->
+            Client.call_raw ~deadline_ms:60_000 s req)
+      in
+      let check state =
+        List.iter
+          (fun (req, bytes, typed) ->
+            let what = Protocol.verb_name req ^ " " ^ state in
+            let routed = raw router_endpoint req in
+            let direct = raw owner.Fleet.endpoint req in
+            Alcotest.(check string) (what ^ ": routed = direct") direct routed;
+            let n = String.length bytes in
+            Alcotest.(check string)
+              (what ^ ": canonical codec bytes")
+              bytes
+              (String.sub routed (String.length routed - n) n);
+            Alcotest.(check string)
+              (what ^ ": frame unchanged")
+              (Protocol.frame_to_string (Ok_response typed))
+              (ok_frame routed))
+          answers
+      in
+      let work (r : Runner.t) =
+        let c = Runner.counters r in
+        (c.Runner.simulations, c.analyses, c.stats_store_hits)
+      in
+      let work_t = Alcotest.(triple int int int) in
+      check "fresh";
+      Alcotest.check work_t "owner computed both once" (2, 1, 0)
+        (work owner_backend.runner);
+      check "memory hit";
+      Alcotest.check work_t "memory hits recompute nothing" (2, 1, 0)
+        (work owner_backend.runner);
+      (* restart the owner's runner on the same store: once the old
+         daemon has unlinked its socket, a fresh backend takes it over *)
+      Fleet.stop_backend owner_backend;
+      let path =
+        match owner.Fleet.endpoint with `Unix p -> p | `Tcp _ -> assert false
+      in
+      poll_until "old owner released its socket" (fun () ->
+          not (Sys.file_exists path));
+      let restarted =
+        Fleet.backend ~size:tiny ~members ~self:owner ()
+      in
+      let thread = Thread.create Server.run restarted.server in
+      Fun.protect
+        ~finally:(fun () ->
+          Fleet.stop_backend restarted;
+          Thread.join thread)
+        (fun () ->
+          (* let a health probe close any circuit the restart opened, so
+             the router asks the owner first *)
+          Thread.delay 0.8;
+          let advise_hits = advise_store_hits () in
+          check "store hit";
+          Alcotest.check work_t "answered from the store" (0, 0, 1)
+            (work restarted.runner);
+          Alcotest.(check int) "advice answered from the store" 1
+            (advise_store_hits () - advise_hits)))
+
 let test_scrub_repair () =
   with_fleet ~nodes:2 ~scrub_rate:500.0
     (fun ~members ~backends:_ ~router_endpoint:_ ->
@@ -960,6 +1061,8 @@ let tests =
       `Slow test_fetch_through;
     Alcotest.test_case "router e2e: route, aggregate, federate, failover"
       `Slow test_router_end_to_end;
+    Alcotest.test_case "routed answers are the owner's canonical bytes"
+      `Slow test_routed_answers_are_canonical_bytes;
     Alcotest.test_case "self-healing metrics federate (golden)" `Quick
       test_federate_recovery_metrics;
     Alcotest.test_case "membership: drain, No_backends, rejoin" `Slow

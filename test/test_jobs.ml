@@ -249,6 +249,26 @@ let test_pool_supervisor_respawns () =
           | Error (`Failed e) -> raise e)
         tickets)
 
+let test_pool_slot_freed_before_completion () =
+  (* a finished request's slot is free by the time its await returns: a
+     sequential caller on a one-slot pool is never refused Busy *)
+  let module Pool = Engine.Pool in
+  let p = Pool.pool ~workers:1 () in
+  Fun.protect
+    ~finally:(fun () -> Pool.shutdown p)
+    (fun () ->
+      let refused = ref 0 in
+      for i = 1 to 10_000 do
+        match Pool.submit p ~max_inflight:1 (fun _ -> i) with
+        | None -> incr refused
+        | Some t -> (
+            match Pool.await ~timeout_s:5.0 t with
+            | Ok v -> if v <> i then Alcotest.failf "ticket %d got %d" i v
+            | Error `Timeout -> Alcotest.fail "await timed out"
+            | Error (`Failed e) -> raise e)
+      done;
+      Alcotest.(check int) "refusals after a completed await" 0 !refused)
+
 let tests =
   [ Alcotest.test_case "submission order (sequential)" `Quick
       test_submission_order;
@@ -263,4 +283,6 @@ let tests =
     Alcotest.test_case "pool timeout abandons and cancels" `Quick
       test_pool_timeout_cancels;
     Alcotest.test_case "pool supervisor respawns crashed workers" `Quick
-      test_pool_supervisor_respawns ]
+      test_pool_supervisor_respawns;
+    Alcotest.test_case "pool frees a slot before completing its ticket"
+      `Quick test_pool_slot_freed_before_completion ]

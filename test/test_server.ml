@@ -251,17 +251,17 @@ let raw_connection endpoint f =
     ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
     (fun () ->
       Unix.connect fd (ADDR_UNIX path);
-      f (Unix.in_channel_of_descr fd) (Unix.out_channel_of_descr fd))
+      f fd)
 
 let test_garbage_gets_bad_frame () =
   with_server (fun endpoint _server ->
       (* wait until the server is actually listening *)
       Client.with_connection ~retry_for_s:5.0 endpoint (fun client ->
           ignore (Client.request client (Protocol.Ping { delay_ms = 0 })));
-      raw_connection endpoint (fun ic oc ->
-          output_string oc "this is not a DDGP frame at all.........";
-          flush oc;
-          match Protocol.read_frame ic with
+      raw_connection endpoint (fun fd ->
+          let garbage = "this is not a DDGP frame at all........." in
+          ignore (Unix.write_substring fd garbage 0 (String.length garbage));
+          match Protocol.read_frame_fd fd with
           | Protocol.Error_response { code = Protocol.Bad_frame; _ } -> ()
           | _ -> Alcotest.fail "expected a Bad_frame error frame");
       (* the daemon must keep serving after feeding it garbage *)
@@ -276,19 +276,19 @@ let test_bad_config_gets_bad_frame () =
   with_server (fun endpoint _server ->
       Client.with_connection ~retry_for_s:5.0 endpoint (fun client ->
           ignore (Client.request client (Protocol.Ping { delay_ms = 0 })));
-      raw_connection endpoint (fun ic oc ->
-          Protocol.write_frame oc
+      raw_connection endpoint (fun fd ->
+          Protocol.write_frame_fd fd
             (Hello { protocol = Protocol.version; software = "t"; node = "" });
-          ignore (Protocol.read_frame ic);
+          ignore (Protocol.read_frame_fd fd);
           let fu = { Ddg_paragraph.Config.unlimited_fu with total = Some 0 } in
-          Protocol.write_frame oc
+          Protocol.write_frame_fd fd
             (Request
                { deadline_ms = 0; attempt = 0;
                  request =
                    Analyze
                      { workload = "mtxx";
                        config = Ddg_paragraph.Config.(with_fu fu default) } });
-          match Protocol.read_frame ic with
+          match Protocol.read_frame_fd fd with
           | Protocol.Error_response { code = Protocol.Bad_frame; _ } -> ()
           | _ -> Alcotest.fail "expected a Bad_frame error frame");
       Client.with_connection ~retry_for_s:5.0 endpoint (fun client ->
@@ -300,12 +300,12 @@ let test_protocol_version_mismatch () =
   with_server (fun endpoint _server ->
       Client.with_connection ~retry_for_s:5.0 endpoint (fun client ->
           ignore (Client.request client (Protocol.Ping { delay_ms = 0 })));
-      raw_connection endpoint (fun ic oc ->
-          Protocol.write_frame oc
+      raw_connection endpoint (fun fd ->
+          Protocol.write_frame_fd fd
             (Hello
                { protocol = Protocol.version + 1; software = "future";
                  node = "" });
-          match Protocol.read_frame ic with
+          match Protocol.read_frame_fd fd with
           | Protocol.Error_response { code = Protocol.Unsupported_version; _ }
             -> ()
           | _ -> Alcotest.fail "expected Unsupported_version"))
@@ -314,10 +314,10 @@ let test_survives_disconnect_mid_request () =
   with_server (fun endpoint _server ->
       Client.with_connection ~retry_for_s:5.0 endpoint (fun client ->
           ignore (Client.request client (Protocol.Ping { delay_ms = 0 })));
-      raw_connection endpoint (fun _ic oc ->
-          Protocol.write_frame oc
+      raw_connection endpoint (fun fd ->
+          Protocol.write_frame_fd fd
             (Hello { protocol = Protocol.version; software = "t"; node = "" });
-          Protocol.write_frame oc
+          Protocol.write_frame_fd fd
             (Request
                { deadline_ms = 0; attempt = 0; request = Ping { delay_ms = 300 } })
           (* hang up without reading the response *));

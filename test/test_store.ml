@@ -146,26 +146,8 @@ let test_manifest () =
 
 (* --- stats codec ------------------------------------------------------------ *)
 
-let encode_stats stats =
-  let path = Filename.temp_file "ddg_stats" ".bin" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      let oc = open_out_bin path in
-      Ddg_paragraph.Stats_codec.write oc stats;
-      close_out oc;
-      read_bytes path)
-
-let decode_stats bytes =
-  let path = Filename.temp_file "ddg_stats" ".bin" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      write_bytes path bytes;
-      let ic = open_in_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> Ddg_paragraph.Stats_codec.read ic))
+let encode_stats = Ddg_paragraph.Stats_codec.to_string
+let decode_stats = Ddg_paragraph.Stats_codec.of_string
 
 let prop_codec_roundtrip =
   QCheck.Test.make ~name:"stats codec round trip is canonical" ~count:150
@@ -274,6 +256,63 @@ let test_corrupt_store_recomputes () =
         (List.exists (String.starts_with ~prefix:"analyzing ") (lines ()));
       Alcotest.(check bool) "corrupt artifact quarantined" true
         (quarantined_count store >= 1))
+
+let test_warm_answers_are_cached_bytes () =
+  (* the memory tier holds the encoded answer: a warm hit hands back the
+     very string the fresh answer was encoded into, re-encoding nothing *)
+  let runner = Runner.create ~size:Ddg_workloads.Workload.Tiny () in
+  let w = Option.get (Ddg_workloads.Registry.find "mtxx") in
+  let config = Ddg_paragraph.Config.default in
+  List.iter
+    (fun (what, answer) ->
+      let fresh = answer runner w config in
+      let warm = answer runner w config in
+      Alcotest.(check bool) (what ^ ": warm hit is the fresh string") true
+        (fresh == warm);
+      Alcotest.(check bool) (what ^ ": and stays so") true
+        (warm == answer runner w config))
+    [ ("stats", Runner.analyze_bytes); ("advice", Runner.advise_bytes) ]
+
+let test_malformed_stats_artifact_recomputed () =
+  (* a stats artifact whose digest is valid but whose payload does not
+     decode (as a faulty peer could hand over) is quarantined on the way
+     into the memory tier, and the lookup recomputes exactly once *)
+  let dir = fresh_dir () in
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists dir then rm_rf dir)
+    (fun () ->
+      let w = Option.get (Ddg_workloads.Registry.find "mtxx") in
+      let config = Ddg_paragraph.Config.default in
+      let expected =
+        Runner.analyze_bytes
+          (Runner.create ~size:Ddg_workloads.Workload.Tiny ())
+          w config
+      in
+      let store = Store.open_ ~dir () in
+      let runner =
+        Runner.create ~size:Ddg_workloads.Workload.Tiny ~store ()
+      in
+      Store.put store ~kind:"stats" ~key:(Runner.stats_key runner w config)
+        (fun oc ->
+          output_string oc (String.sub expected 0 (String.length expected / 2)));
+      Alcotest.(check string) "recomputed stats identical" expected
+        (Runner.analyze_bytes runner w config);
+      Alcotest.(check string) "then a memory hit" expected
+        (Runner.analyze_bytes runner w config);
+      let c = Runner.counters runner in
+      Alcotest.(check int) "recomputed exactly once" 1 c.Runner.analyses;
+      Alcotest.(check int) "no store hit counted" 0 c.stats_store_hits;
+      Alcotest.(check int) "malformed artifact quarantined" 1
+        c.artifact_quarantines;
+      (* the recomputed answer replaced it in the store *)
+      let again =
+        Runner.create ~size:Ddg_workloads.Workload.Tiny
+          ~store:(Store.open_ ~dir ()) ()
+      in
+      Alcotest.(check string) "store serves the recomputed bytes" expected
+        (Runner.analyze_bytes again w config);
+      Alcotest.(check int) "without analysing" 0
+        (Runner.counters again).Runner.analyses)
 
 (* --- fsck ------------------------------------------------------------------- *)
 
@@ -430,7 +469,8 @@ let test_racing_recovery_converges () =
       Alcotest.(check bool) "store converged to a valid artifact" true
         (Store.find store ~kind:"stats"
            ~key:(Runner.stats_key cold w config)
-           (fun ic -> Ddg_paragraph.Stats_codec.read ic)
+           (fun ic ->
+             Ddg_paragraph.Stats_codec.of_string (In_channel.input_all ic))
         <> None);
       let report = Store.fsck store in
       Alcotest.(check int) "no corrupt artifacts remain" 0
@@ -474,6 +514,10 @@ let tests =
     Alcotest.test_case "warm run is cache-hot" `Quick test_warm_run_is_cache_hot;
     Alcotest.test_case "corrupt store artifact recomputed" `Quick
       test_corrupt_store_recomputes;
+    Alcotest.test_case "warm answers are the cached bytes" `Quick
+      test_warm_answers_are_cached_bytes;
+    Alcotest.test_case "malformed stats artifact recomputed once" `Quick
+      test_malformed_stats_artifact_recomputed;
     Alcotest.test_case "fsck: clean store" `Quick test_fsck_clean_store;
     Alcotest.test_case "fsck: corruption quarantined" `Quick
       test_fsck_quarantines_corruption;
