@@ -8,7 +8,7 @@
 
    Usage: main.exe [--size tiny|default|large] [--only SECTION]
    [--no-micro] [--json PATH] [-j N] [--cache-dir DIR] [--no-cache]
-   [--cache-bench] [--serve-bench] [--fault-bench] [--segment-bench]
+   [--cache-bench] [--serve-bench] [--fault-bench]
    where SECTION is one of table1 table2 table3 table4 fig7 fig8 extras
    resources branches compiler.
 
@@ -28,18 +28,14 @@
    Fault.fire with the injector disabled and with every site armed at
    probability 0, plus a store put+find roundtrip (the hottest
    probe-bearing path) under both, recording the overhead ratio in
-   BENCH.json — the disabled injector must cost nothing. --segment-bench
-   measures intra-trace scaling: the segmented single-trace engine
-   (Segmented on a Pool) at -j 1/2/4/8 against the sequential analyzer,
-   byte-checking the stats before trusting any timing, and records the
-   events/s trajectory in BENCH.json. --recovery-bench measures the
-   self-healing fleet: a 3-node supervised forked cluster, one backend
-   killed under warm traffic; records time-to-healthy (respawn observed
-   and every workload serving byte-identical responses again) plus the
-   request failure count during the churn in BENCH.json (it runs first,
-   before the harness grows threads, so the supervisor's spawner child
-   forks from a clean single-threaded image). On a single-core runner,
-   --segment-bench and --cluster-bench record {"skipped": "cores=1"} in
+   BENCH.json — the disabled injector must cost nothing. --recovery-bench
+   measures the self-healing fleet: a 3-node supervised forked cluster,
+   one backend killed under warm traffic; records time-to-healthy
+   (respawn observed and every workload serving byte-identical responses
+   again) plus the request failure count during the churn in BENCH.json
+   (it runs first, before the harness grows threads, so the supervisor's
+   spawner child forks from a clean single-threaded image). On a
+   single-core runner, --cluster-bench records {"skipped": "cores=1"} in
    BENCH.json instead of committing meaningless <=1x speedups.
    --analyze-bench measures the zero-copy trace pipeline: the fused
    engine fed from a stored v1 trace (digest + decode) against the same
@@ -68,7 +64,6 @@ type opts = {
   cluster_bench : bool;
   fault_bench : bool;
   obs_bench : bool;
-  segment_bench : bool;
   recovery_bench : bool;
   analyze_bench : bool;
 }
@@ -80,7 +75,7 @@ let parse_args () =
         json_path = "BENCH.json"; jobs = 1; cache_dir = None;
         no_cache = false; cache_bench = false; serve_bench = false;
         cluster_bench = false; fault_bench = false; obs_bench = false;
-        segment_bench = false; recovery_bench = false; analyze_bench = false }
+        recovery_bench = false; analyze_bench = false }
   in
   let rec go = function
     | [] -> ()
@@ -126,9 +121,6 @@ let parse_args () =
         go rest
     | "--obs-bench" :: rest ->
         o := { !o with obs_bench = true };
-        go rest
-    | "--segment-bench" :: rest ->
-        o := { !o with segment_bench = true };
         go rest
     | "--recovery-bench" :: rest ->
         o := { !o with recovery_bench = true };
@@ -284,18 +276,21 @@ let microbenchmarks () =
         let test = Test.make ~name (Staged.stage thunk) in
         match estimate_ns cfg instances ols test with
         | Some est ->
+            (* rows with no trace pass (simulate, compile) have no rate *)
             let events_per_s =
               if est > 0.0 && passes > 0 then
-                float_of_int (passes * events) /. (est /. 1e9)
-              else 0.0
+                Some (float_of_int (passes * events) /. (est /. 1e9))
+              else None
             in
-            if passes > 0 then
-              Printf.printf "  %-40s %14s ns/run  (%10.0f events/s)\n" name
-                (Ddg_report.Table.float_cell est)
-                events_per_s
-            else
-              Printf.printf "  %-40s %14s ns/run\n" name
-                (Ddg_report.Table.float_cell est);
+            (match events_per_s with
+            | Some rate ->
+                Printf.printf "  %-40s %14s ns/run  (%10.0f events/s)\n"
+                  name
+                  (Ddg_report.Table.float_cell est)
+                  rate
+            | None ->
+                Printf.printf "  %-40s %14s ns/run\n" name
+                  (Ddg_report.Table.float_cell est));
             (name, Some (est, events_per_s))
         | None ->
             Printf.printf "  %-40s (no estimate)\n" name;
@@ -946,83 +941,6 @@ let run_obs_bench () =
     ob_analyze_off_ns = analyze_off;
     ob_analyze_on_ns = analyze_on }
 
-(* --- segmented single-trace analysis benchmark ------------------------------ *)
-
-type segment_bench_result = {
-  gb_workload : string;
-  gb_events : int;
-  gb_sequential : float; (* events/s, Analyzer.analyze *)
-  gb_jobs : (int * float) list; (* (-j N, events/s) via Segmented on a pool *)
-}
-
-(* Intra-trace scaling: the segmented engine against the sequential
-   analyzer on one trace, at -j 1/2/4/8. -j 1 is the sequential fallback
-   (Segmented declines to split for one worker), so the -j column reads
-   as end-to-end speedup including the skeleton and stitch overhead. The
-   segmented results are byte-checked against the sequential stats before
-   any timing is believed. *)
-let run_segment_bench ~size =
-  let module Pool = Ddg_jobs.Engine.Pool in
-  let name = "eqnx" in
-  let w = Option.get (Ddg_workloads.Registry.find name) in
-  Printf.eprintf "segment-bench: tracing %s (%s)\n%!" name
-    (Ddg_workloads.Workload.size_to_string size);
-  let _, trace = Ddg_workloads.Workload.trace w size in
-  let events = Ddg_sim.Trace.length trace in
-  let config = Ddg_paragraph.Config.default in
-  let best_of_3 f =
-    let best = ref infinity in
-    for _ = 1 to 3 do
-      let t0 = Unix.gettimeofday () in
-      ignore (Sys.opaque_identity (f ()));
-      let dt = Unix.gettimeofday () -. t0 in
-      if dt < !best then best := dt
-    done;
-    !best
-  in
-  Printf.eprintf "segment-bench: sequential baseline\n%!";
-  let seq_stats = Ddg_paragraph.Analyzer.analyze config trace in
-  let seq_blob = Ddg_paragraph.Stats_codec.to_string seq_stats in
-  let seq_wall =
-    best_of_3 (fun () -> Ddg_paragraph.Analyzer.analyze config trace)
-  in
-  let measured =
-    List.map
-      (fun j ->
-        Printf.eprintf "segment-bench: segmented -j %d\n%!" j;
-        let pool = Pool.pool ~workers:j () in
-        Fun.protect
-          ~finally:(fun () -> Pool.shutdown pool)
-          (fun () ->
-            let run () =
-              Ddg_paragraph.Segmented.analyze ~exec:(Pool.run_all pool)
-                ~segments:j config trace
-            in
-            if Ddg_paragraph.Stats_codec.to_string (run ()) <> seq_blob
-            then begin
-              Printf.eprintf
-                "segment-bench: -j %d stats differ from sequential\n%!" j;
-              exit 1
-            end;
-            (j, best_of_3 run)))
-      [ 1; 2; 4; 8 ]
-  in
-  let rate wall = if wall > 0.0 then float_of_int events /. wall else 0.0 in
-  Printf.printf
-    "segment bench (%s %s, %d events, byte-identical stats):\n"
-    name (Ddg_workloads.Workload.size_to_string size) events;
-  Printf.printf "  %-18s %10.0f events/s\n" "sequential" (rate seq_wall);
-  List.iter
-    (fun (j, wall) ->
-      Printf.printf "  %-18s %10.0f events/s  (%.2fx over -j 1)\n"
-        (Printf.sprintf "segmented -j %d" j)
-        (rate wall)
-        (let _, w1 = List.hd measured in
-         if wall > 0.0 then w1 /. wall else 0.0))
-    measured;
-  { gb_workload = name; gb_events = events; gb_sequential = rate seq_wall;
-    gb_jobs = List.map (fun (j, wall) -> (j, rate wall)) measured }
-
 (* Scaling benchmarks either ran or were skipped with a reason; a skip
    is recorded in BENCH.json (e.g. [{"skipped": "cores=1"}]) so a
    single-core runner leaves an explicit marker instead of committing
@@ -1271,7 +1189,7 @@ let run_large_bench () =
 (* --- BENCH.json ---------------------------------------------------------- *)
 
 let write_bench_json path ~size ~sections ~micro ~cache ~serve ~cluster
-    ~fault ~obs ~segment ~recovery ~zero_copy =
+    ~fault ~obs ~recovery ~zero_copy =
   let open Ddg_report.Json in
   let meta_fields =
     (* where these numbers came from: parallel and cluster scaling claims
@@ -1302,7 +1220,10 @@ let write_bench_json path ~size ~sections ~micro ~cache ~serve ~cluster
                                (Obj
                                   [ ("name", String name);
                                     ("ns_per_run", Float ns);
-                                    ("events_per_s", Float events_per_s) ]))
+                                    ( "events_per_s",
+                                      match events_per_s with
+                                      | Some r -> Float r
+                                      | None -> Null ) ]))
                        measured) );
                 ( "fused",
                   Obj
@@ -1318,19 +1239,24 @@ let write_bench_json path ~size ~sections ~micro ~cache ~serve ~cluster
     | Some c ->
         [ ( "cache",
             Obj
-              [ ("workers", Int c.cb_workers);
-                ("suite_jobs", Int c.cb_suite_jobs);
-                ("cold_j1_seconds", Float c.cb_cold_j1);
-                ( Printf.sprintf "cold_j%d_seconds" c.cb_workers,
-                  Float c.cb_cold_jn );
-                ("warm_seconds", Float c.cb_warm);
-                ( "parallel_speedup",
-                  if c.cb_cold_jn > 0.0 then Float (c.cb_cold_j1 /. c.cb_cold_jn)
-                  else Null );
-                ( "warm_speedup",
-                  if c.cb_warm > 0.0 then Float (c.cb_cold_j1 /. c.cb_warm)
-                  else Null );
-                ("warm_run_cache_hot", Bool true) ] ) ]
+              ([ ("workers", Int c.cb_workers);
+                 ("suite_jobs", Int c.cb_suite_jobs);
+                 ("cold_j1_seconds", Float c.cb_cold_j1) ]
+              (* at -j 1 the second cold run repeats the first: it has no
+                 key of its own and there is no speedup to report *)
+              @ (if c.cb_workers > 1 then
+                   [ ( Printf.sprintf "cold_j%d_seconds" c.cb_workers,
+                       Float c.cb_cold_jn );
+                     ( "parallel_speedup",
+                       if c.cb_cold_jn > 0.0 then
+                         Float (c.cb_cold_j1 /. c.cb_cold_jn)
+                       else Null ) ]
+                 else [])
+              @ [ ("warm_seconds", Float c.cb_warm);
+                  ( "warm_speedup",
+                    if c.cb_warm > 0.0 then Float (c.cb_cold_j1 /. c.cb_warm)
+                    else Null );
+                  ("warm_run_cache_hot", Bool true) ]) ) ]
   in
   let serve_fields =
     match serve with
@@ -1402,32 +1328,6 @@ let write_bench_json path ~size ~sections ~micro ~cache ~serve ~cluster
                     Float (o.ob_analyze_on_ns /. o.ob_analyze_off_ns)
                   else Null ) ] ) ]
   in
-  let segment_fields =
-    match segment with
-    | None -> []
-    | Some (Skipped reason) ->
-        [ ("segmented", Obj [ ("skipped", String reason) ]) ]
-    | Some (Ran g) ->
-        let rate_of j = List.assoc_opt j g.gb_jobs in
-        [ ( "segmented",
-            Obj
-              [ ("workload", String g.gb_workload);
-                ("trace_events", Int g.gb_events);
-                ("sequential_events_per_s", Float g.gb_sequential);
-                ( "jobs",
-                  List
-                    (List.map
-                       (fun (j, r) ->
-                         Obj
-                           [ ("jobs", Int j);
-                             ("events_per_s", Float r) ])
-                       g.gb_jobs) );
-                ( "speedup_j8_vs_j1",
-                  match (rate_of 1, rate_of 8) with
-                  | Some r1, Some r8 when r1 > 0.0 -> Float (r8 /. r1)
-                  | _ -> Null );
-                ("stats_byte_identical", Bool true) ] ) ]
-  in
   let zero_copy_fields =
     match zero_copy with
     | None -> []
@@ -1485,8 +1385,8 @@ let write_bench_json path ~size ~sections ~micro ~cache ~serve ~cluster
                       ("wall_seconds", Float seconds) ])
                 (List.rev sections)) ) ]
       @ meta_fields @ cache_fields @ serve_fields @ cluster_fields
-      @ recovery_fields @ fault_fields @ obs_fields @ segment_fields
-      @ zero_copy_fields @ micro_fields)
+      @ recovery_fields @ fault_fields @ obs_fields @ zero_copy_fields
+      @ micro_fields)
   in
   let oc = open_out path in
   output_string oc (to_string json);
@@ -1498,7 +1398,7 @@ let write_bench_json path ~size ~sections ~micro ~cache ~serve ~cluster
 let () =
   let { size; only; micro; json_path; jobs = workers; cache_dir; no_cache;
         cache_bench; serve_bench; cluster_bench; fault_bench; obs_bench;
-        segment_bench; recovery_bench; analyze_bench } =
+        recovery_bench; analyze_bench } =
     parse_args ()
   in
   let cores = Domain.recommended_domain_count () in
@@ -1613,19 +1513,6 @@ let () =
     end
     else None
   in
-  let segment_results =
-    if segment_bench then begin
-      section_banner "segmented single-trace analysis benchmark";
-      if cores = 1 then begin
-        Printf.printf
-          "segment bench skipped: cores=1 (single-core runner; scaling \
-           numbers would be meaningless)\n";
-        Some (Skipped "cores=1")
-      end
-      else Some (Ran (timed "segment-bench" (fun () -> run_segment_bench ~size)))
-    end
-    else None
-  in
   let zero_copy_results =
     if analyze_bench then begin
       section_banner "zero-copy (flat trace) benchmark";
@@ -1645,7 +1532,7 @@ let () =
   write_bench_json json_path ~size ~sections:!section_times
     ~micro:micro_results ~cache:cache_results ~serve:serve_results
     ~cluster:cluster_results ~fault:fault_results ~obs:obs_results
-    ~segment:segment_results ~recovery:recovery_results
+    ~recovery:recovery_results
     ~zero_copy:zero_copy_results;
   Printf.eprintf "[%7.1fs] done (%s written)\n%!"
     (Unix.gettimeofday () -. t0)

@@ -266,39 +266,11 @@ let stats_to_json input config (stats : Analyzer.stats) =
             ( "peak_live",
               Float (Profile.max_ops_per_level stats.storage_profile) ) ] ) ]
 
-let analyze_segments_arg =
-  let doc =
-    "Split the trace into $(docv) segments analyzed on parallel domains \
-     (defaults to $(b,-j); 1 means sequential). Only configurations the \
-     segmented engine supports use it — anything else falls back to the \
-     sequential engine — and the stats are identical either way."
-  in
-  Arg.(value & opt (some int) None & info [ "segments" ] ~docv:"K" ~doc)
-
-let analyze_jobs_arg =
-  let doc =
-    "Analyze the trace on up to $(docv) parallel domains by segmenting it \
-     (see $(b,--segments); results are identical for any value)."
-  in
-  Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
-
 let analyze_cmd =
-  let run input max_instructions config json profile jobs segments =
+  let run input max_instructions config json profile =
     with_profile profile @@ fun () ->
     let result, trace = trace_of_input input ~max_instructions in
-    let segments = max 1 (match segments with Some k -> k | None -> jobs) in
-    let stats =
-      if segments <= 1 then Analyzer.analyze config trace
-      else begin
-        let module Pool = Ddg_jobs.Engine.Pool in
-        let pool = Pool.pool ~workers:segments () in
-        Fun.protect
-          ~finally:(fun () -> Pool.shutdown pool)
-          (fun () ->
-            Segmented.analyze ~exec:(Pool.run_all pool) ~segments config
-              trace)
-      end
-    in
+    let stats = Analyzer.analyze config trace in
     if json then
       print_endline
         (Ddg_report.Json.to_string (stats_to_json input config stats))
@@ -325,7 +297,7 @@ let analyze_cmd =
     (Cmd.info "analyze" ~doc)
     Term.(
       const run $ input_arg $ max_instructions_arg $ config_term $ json
-      $ profile_flag_arg $ analyze_jobs_arg $ analyze_segments_arg)
+      $ profile_flag_arg)
 
 (* --- advise ---------------------------------------------------------------- *)
 
@@ -826,8 +798,8 @@ let verbose_arg =
 let jobs_arg =
   let doc =
     "Parallel jobs: simulate and analyze up to $(docv) workloads \
-     concurrently, and segment supported single-trace analyses across \
-     the same $(docv) domains (results are identical for any value)."
+     concurrently; $(b,serve) and each $(b,cluster) backend run up to \
+     $(docv) requests at once (results are identical for any value)."
   in
   Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 

@@ -61,10 +61,6 @@ type t = {
   progress : string -> unit;
   store : Store.t option;
   workers : int;
-  mutable pool : Jobs.Pool.t option;
-      (* when set (the daemon wires its request pool in), single-trace
-         analyses of supported configs fan segments out over its idle
-         workers; [None] keeps analysis sequential *)
   trace_budget : int option;
   mutable fetch : (kind:string -> key:string -> bool) option;
       (* cluster fetch-through: called on a store miss with the missing
@@ -89,7 +85,7 @@ type t = {
 
 let create ?(size = Workload.Default) ?(progress = fun _ -> ()) ?store
     ?(workers = 1) ?trace_budget () =
-  { size; progress; store; workers = max 1 workers; pool = None; trace_budget;
+  { size; progress; store; workers = max 1 workers; trace_budget;
     fetch = None; lock = Mutex.create (); traces = Hashtbl.create 16;
     stats = Hashtbl.create 64; advice = Hashtbl.create 16;
     tick = 0; resident_bytes = 0;
@@ -99,21 +95,7 @@ let create ?(size = Workload.Default) ?(progress = fun _ -> ()) ?store
 
 let size t = t.size
 let workloads _ = Registry.all
-let set_pool t pool = t.pool <- Some pool
 let set_fetch t fetch = t.fetch <- Some fetch
-
-(* Single-trace analysis: segmented across the pool when one is wired in
-   and more than one worker could help; the segment count tracks the
-   runner's worker setting. [Segmented.analyze] falls back to the
-   sequential engine by itself for unsupported configurations, so the
-   result is identical either way. *)
-let run_analysis t config tr =
-  match t.pool with
-  | Some pool when t.workers > 1 ->
-      Ddg_paragraph.Segmented.analyze
-        ~exec:(Jobs.Pool.run_all pool)
-        ~segments:t.workers config tr
-  | _ -> Ddg_paragraph.Analyzer.analyze config tr
 
 let locked t f =
   Mutex.lock t.lock;
@@ -422,7 +404,7 @@ let analyze_bytes t (w : Workload.t) config =
         (Printf.sprintf "analyzing %s under %s" w.name
            (Ddg_paragraph.Config.describe config));
       let t0 = Unix.gettimeofday () in
-      let s = Obs.time span_analyze (fun () -> run_analysis t config tr) in
+      let s = Obs.time span_analyze (fun () -> Ddg_paragraph.Analyzer.analyze config tr) in
       locked t (fun () -> t.n_analyses <- t.n_analyses + 1);
       put_bytes t ~kind:"stats" ~key:(stats_key t w config)
         ~wall:(Unix.gettimeofday () -. t0)

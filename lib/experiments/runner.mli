@@ -51,15 +51,6 @@ val create :
 
 val counters : t -> counters
 
-val set_pool : t -> Ddg_jobs.Engine.Pool.t -> unit
-(** Wire in a persistent worker pool ({!Ddg_jobs.Engine.Pool}): from
-    then on, {!analyze} runs supported single-trace analyses segmented
-    ({!Ddg_paragraph.Segmented}) across the pool's idle workers when the
-    runner was created with [workers > 1]. Safe to call even when
-    {!analyze} is itself invoked from one of that pool's workers (the
-    daemon's layout) — the fan-out never deadlocks and results remain
-    bit-identical to the sequential engine. *)
-
 val set_fetch : t -> (kind:string -> key:string -> bool) -> unit
 (** Wire in a cluster fetch-through hook: on an artifact-store miss the
     hook is called with the missing (kind, key); returning [true] means
@@ -115,7 +106,8 @@ val marked_trace :
 val analyze_bytes :
   t -> Ddg_workloads.Workload.t -> Ddg_paragraph.Config.t -> string
 (** Analyze a workload's trace under a configuration (memory cache →
-    disk store → analyze) and return the result's canonical
+    disk store → {!Ddg_paragraph.Analyzer.analyze} on the calling
+    domain) and return the result's canonical
     {!Ddg_paragraph.Stats_codec} bytes — the form the memory cache
     holds, the store persists and the daemon serves. A fresh result is
     encoded once; a memory hit returns the cached string itself. A

@@ -402,68 +402,6 @@ module Pool = struct
     in
     wait ()
 
-  (* Cooperative fan-out: run an array of thunks to completion using the
-     pool's idle workers, with the calling thread participating. The
-     thunks go into a shared claim queue (an atomic index); helper tasks
-     are enqueued on the pool — detached, no tickets — and each claims
-     thunks until the queue is dry, as does the caller. This is safe to
-     call {e from} a pool worker (the daemon's analyze path): the caller
-     always makes progress by itself, so a fully busy pool degrades to
-     sequential execution instead of deadlocking, and helpers that never
-     get picked up find nothing left to claim and return. *)
-  let run_all p thunks =
-    let n = Array.length thunks in
-    if n = 1 then thunks.(0) ()
-    else if n > 0 then begin
-      let next = Atomic.make 0 in
-      let lock = Mutex.create () in
-      let cond = Condition.create () in
-      let completed = ref 0 in
-      let first_exn = ref None in
-      let claim () =
-        let rec go () =
-          let i = Atomic.fetch_and_add next 1 in
-          if i < n then begin
-            (try thunks.(i) ()
-             with e ->
-               Mutex.lock lock;
-               if !first_exn = None then first_exn := Some e;
-               Mutex.unlock lock);
-            Mutex.lock lock;
-            incr completed;
-            if !completed = n then Condition.broadcast cond;
-            Mutex.unlock lock;
-            go ()
-          end
-        in
-        go ()
-      in
-      let helpers = min (pool_size p) (n - 1) in
-      Mutex.lock p.plock;
-      if not p.stop then begin
-        for _ = 1 to helpers do
-          p.inflight <- p.inflight + 1;
-          let t_submit = if Obs.enabled () then Obs.Clock.now_ns () else 0 in
-          let run () =
-            if t_submit > 0 then
-              Obs.observe span_queue_wait (Obs.Clock.now_ns () - t_submit);
-            Obs.time span_run claim;
-            release p
-          in
-          Queue.add { run; abort = (fun _ -> release p) } p.pqueue
-        done;
-        Condition.broadcast p.pcond
-      end;
-      Mutex.unlock p.plock;
-      claim ();
-      Mutex.lock lock;
-      while !completed < n do
-        Condition.wait cond lock
-      done;
-      Mutex.unlock lock;
-      match !first_exn with Some e -> raise e | None -> ()
-    end
-
   let shutdown p =
     Mutex.lock p.plock;
     if not p.stop then begin

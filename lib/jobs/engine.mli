@@ -114,18 +114,6 @@ module Pool : sig
       way.
       @raise Invalid_argument if the ticket was already awaited *)
 
-  val run_all : t -> (unit -> unit) array -> unit
-  (** Run every thunk to completion, spreading them over the pool's idle
-      workers {e and} the calling thread, then return; re-raises the
-      first exception a thunk raised (after all thunks have finished).
-      Unlike {!submit}/{!await} this is safe to call from inside a pool
-      worker: the caller claims thunks itself off a shared queue, so a
-      fully loaded (or shutting-down) pool degrades to running them all
-      on the caller rather than deadlocking. Thunks may run on any
-      domain in any order and must synchronise shared state themselves.
-      Used by {!Ddg_paragraph.Segmented} to fan one trace's segments out
-      over the daemon's pool. *)
-
   val shutdown : t -> unit
   (** Stop accepting submissions, run everything already queued, and
       join the domains. Idempotent. *)

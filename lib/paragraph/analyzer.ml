@@ -4,7 +4,7 @@ module BA1 = Bigarray.Array1
 
 (* Observability sites, one per analyzer phase (Obs sites are static:
    registered once at module initialisation, nearly free while the obs
-   layer is disabled). The feed loop is spanned as a whole — live-well
+   layer is disabled). The row pass is spanned as a whole — live-well
    phase for plain dataflow configurations, window phase when discrete
    placement constraints are in play — never per event: the hot loop
    stays allocation- and probe-free. *)
@@ -29,12 +29,16 @@ type stats = {
   mispredicts : int;
 }
 
-(* The hot loop works on flat integers only: operation classes as tags,
-   locations as dense ids (the packed trace's, or [ids]'s for record
-   events), latencies and renaming switches tabulated by tag. Per event it
-   performs one live-well probe per distinct operand touch and allocates
-   nothing; boxed structures appear only on the cold paths (value
-   retirement into the distributions, syscalls, window growth). *)
+(* One analyzer state. The hashed row engine below ([feed_row]) takes
+   record events and streamed rows, and is the reference the kernel for
+   packed traces (further down) is checked against. It works on flat
+   integers only: operation classes as tags, locations as dense ids (the
+   streamed file's, or [ids]'s for record events), latencies and renaming
+   switches tabulated by tag. Per event it performs one live-well probe
+   per distinct operand touch and allocates nothing; boxed structures
+   appear only on the cold paths (value retirement into the
+   distributions, syscalls, window growth). The kernel keeps its own
+   banked well and uses the rest of the state. *)
 type t = {
   config : Config.t;
   lat : int array;                   (* opclass tag -> latency *)
@@ -399,59 +403,20 @@ let finish t =
   List.iter (retire t) (Live_well.retire_all t.live_well);
   build_stats t ~live_locations:(Live_well.size t.live_well)
 
-(* --- packed-trace paths ----------------------------------------------------- *)
-
-let sized_for trace config =
-  create_sized
-    ~live_well_capacity:(2 * max 16 (Ddg_sim.Trace.num_locs trace))
-    config
-
-let feed_trace t trace =
-  let cols = Ddg_sim.Trace.columns trace in
-  let classes = Ddg_sim.Trace.storage_classes trace in
-  let flags_col = cols.flags
-  and pcs = cols.pcs
-  and dsts = cols.dsts
-  and a0 = cols.src0
-  and a1 = cols.src1
-  and a2 = cols.src2 in
-  for i = 0 to cols.n - 1 do
-    let flags = Char.code (BA1.unsafe_get flags_col i) in
-    let extra =
-      if flags land Ddg_sim.Trace.flags_extra <> 0 then
-        Ddg_sim.Trace.extra_srcs trace i
-      else no_extra
-    in
-    feed_row t classes ~flags
-      ~pc:(BA1.unsafe_get pcs i)
-      ~d:(BA1.unsafe_get dsts i)
-      ~s0:(BA1.unsafe_get a0 i)
-      ~s1:(BA1.unsafe_get a1 i)
-      ~s2:(BA1.unsafe_get a2 i)
-      ~extra
-  done
-
 let feed_span (config : Config.t) =
-  (* a window (or functional-unit limit) turns the feed loop into the
+  (* a window (or functional-unit limit) turns the row pass into the
      placement phase; otherwise it is pure live-well dataflow *)
   match (config.window, config.fu = Config.unlimited_fu) with
   | None, true -> span_well
   | _ -> span_window
 
-let analyze config trace =
-  let t = sized_for trace config in
-  Obs.time (feed_span config) (fun () -> feed_trace t trace);
-  let stats = Obs.time span_stats (fun () -> finish t) in
-  Obs.incr analyze_runs;
-  Obs.add analyze_events stats.events;
-  stats
+(* --- the kernel: packed and mapped traces -------------------------------------
 
-(* --- fused multi-config analysis --------------------------------------------
-
-   One pass of the trace drives N independent analyzer states. Interleaving
-   N separate live wells would thrash the cache (each state's table is a
-   disjoint random-access region), so the fused engine replaces the hash
-   table with a {e banked, direct-indexed} well: packed-trace location ids
+   One pass of the trace drives N independent analyzer states: [analyze]
+   runs one, [analyze_many] a group of up to eight. Interleaving N
+   separate live wells would thrash the cache (each state's table is a
+   disjoint random-access region), so the kernel replaces the hash table
+   with a {e banked, direct-indexed} well: packed-trace location ids
    are dense in [0, num_locs), so location [id]'s fields for state [j]
    live at [id * 3N + 3j] in one flat array — create level, deepest use,
    and uses*2+computed. The N states' entries for the same location are
@@ -502,467 +467,487 @@ let fused_prof_add pcounts pshift j level =
   let idx = level lsr Array.unsafe_get pshift j in
   Array.unsafe_set counts idx (Array.unsafe_get counts idx + 1)
 
-(* Run one cache-budgeted group of states down a single trace pass. *)
-let fused_group configs trace =
-  match configs with
-  | [] -> []
-  | [ config ] -> [ analyze config trace ]
-  | configs ->
-      let states = Array.of_list (List.map (create_sized ~live_well_capacity:16) configs) in
-      let n = Array.length states in
-      let num_locs = Ddg_sim.Trace.num_locs trace in
-      let bank = 3 in
-      let stride = bank * n in
-      let w = Array.make (max 1 (num_locs * stride)) absent in
-      let live = Array.make n 0 in
-      let pcounts = Array.init n (fun _ -> Array.make 256 0) in
-      let pshift = Array.make n 0 in
-      (* readiness contribution of operand [id] for the state whose bank
-         starts at [jo], materialising on first touch *)
-      let touch_ready id jo hl1 =
-        let off = (id * stride) + jo in
-        let c = Array.unsafe_get w off in
-        if c = absent then begin
-          Array.unsafe_set w off hl1;
-          Array.unsafe_set w (off + 1) hl1;
-          Array.unsafe_set w (off + 2) 0;
-          Array.unsafe_set live (jo / bank) (Array.unsafe_get live (jo / bank) + 1);
-          hl1
-        end
-        else c
+let time site f = match site with Some s -> Obs.time s f | None -> f ()
+
+(* Run a group of states down a single pass of the trace: one state for
+   [analyze], one cache-budgeted group per call for [analyze_many].
+   [rows_span] and [stats_span] time the row pass and the final
+   retirement. *)
+let kernel ?rows_span ?stats_span configs trace =
+  let states = Array.of_list (List.map (create_sized ~live_well_capacity:16) configs) in
+  let n = Array.length states in
+  let num_locs = Ddg_sim.Trace.num_locs trace in
+  let bank = 3 in
+  let stride = bank * n in
+  let w = Array.make (max 1 (num_locs * stride)) absent in
+  let live = Array.make n 0 in
+  let pcounts = Array.init n (fun _ -> Array.make 256 0) in
+  let pshift = Array.make n 0 in
+  (* readiness contribution of operand [id] for the state whose bank
+     starts at [jo], materialising on first touch *)
+  let touch_ready id jo hl1 =
+    let off = (id * stride) + jo in
+    let c = Array.unsafe_get w off in
+    if c = absent then begin
+      Array.unsafe_set w off hl1;
+      Array.unsafe_set w (off + 1) hl1;
+      Array.unsafe_set w (off + 2) 0;
+      Array.unsafe_set live (jo / bank) (Array.unsafe_get live (jo / bank) + 1);
+      hl1
+    end
+    else c
+  in
+  let record_use id jo level =
+    let off = (id * stride) + jo in
+    if level > Array.unsafe_get w (off + 1) then
+      Array.unsafe_set w (off + 1) level;
+    Array.unsafe_set w (off + 2) (Array.unsafe_get w (off + 2) + 2)
+  in
+  let touch_use id jo hl1 level =
+    ignore (touch_ready id jo hl1);
+    record_use id jo level
+  in
+  let retire_off t off =
+    let created = Array.unsafe_get w off in
+    let deepest = Array.unsafe_get w (off + 1) in
+    Dist.add t.lifetimes (if deepest > created then deepest - created else 0);
+    Dist.add t.sharing (Array.unsafe_get w (off + 2) lsr 1);
+    if created >= 0 then
+      Intervals.add t.liveness ~lo:created
+        ~hi:(if deepest > created then deepest else created)
+  in
+  (* define destination [id]: retire the previous computed value, bind
+     the new one created at [level] *)
+  let define t id jo level =
+    let off = (id * stride) + jo in
+    let c = Array.unsafe_get w off in
+    if c = absent then
+      Array.unsafe_set live (jo / bank) (Array.unsafe_get live (jo / bank) + 1)
+    else if Array.unsafe_get w (off + 2) land 1 <> 0 then retire_off t off;
+    Array.unsafe_set w off level;
+    Array.unsafe_set w (off + 1) level;
+    Array.unsafe_set w (off + 2) 1
+  in
+  (* [plain] states have no instruction window and no functional-unit
+     limits, so the value-row loop needs no window bookkeeping and no
+     resource placement — the common case (every renaming/syscall
+     sweep) gets a tighter loop. [analyze_many] groups plain
+     configurations together so whole groups qualify. *)
+  let plain =
+    Array.for_all
+      (fun t ->
+        t.resources_unlimited
+        && match t.window with None -> true | Some _ -> false)
+      states
+  in
+  let all_perfect =
+    Array.for_all (fun t -> t.predictor_perfect) states
+  in
+  (* events / placed / syscalls are determined by row counts alone, so
+     they are tallied once per row, not once per row per state *)
+  let value_rows = ref 0 and syscall_rows = ref 0 and rows = ref 0 in
+  let cols = Ddg_sim.Trace.columns trace in
+  let classes = Ddg_sim.Trace.storage_classes trace in
+  let flags_col = cols.flags
+  and pcs = cols.pcs
+  and dsts = cols.dsts
+  and a0 = cols.src0
+  and a1 = cols.src1
+  and a2 = cols.src2 in
+  let pass () =
+    for i = 0 to cols.n - 1 do
+      let flags = Char.code (BA1.unsafe_get flags_col i) in
+      let extra =
+        if flags land Ddg_sim.Trace.flags_extra <> 0 then
+          Ddg_sim.Trace.extra_srcs trace i
+        else no_extra
       in
-      let record_use id jo level =
-        let off = (id * stride) + jo in
-        if level > Array.unsafe_get w (off + 1) then
-          Array.unsafe_set w (off + 1) level;
-        Array.unsafe_set w (off + 2) (Array.unsafe_get w (off + 2) + 2)
-      in
-      let touch_use id jo hl1 level =
-        ignore (touch_ready id jo hl1);
-        record_use id jo level
-      in
-      let retire_off t off =
-        let created = Array.unsafe_get w off in
-        let deepest = Array.unsafe_get w (off + 1) in
-        Dist.add t.lifetimes (if deepest > created then deepest - created else 0);
-        Dist.add t.sharing (Array.unsafe_get w (off + 2) lsr 1);
-        if created >= 0 then
-          Intervals.add t.liveness ~lo:created
-            ~hi:(if deepest > created then deepest else created)
-      in
-      (* define destination [id]: retire the previous computed value, bind
-         the new one created at [level] *)
-      let define t id jo level =
-        let off = (id * stride) + jo in
-        let c = Array.unsafe_get w off in
-        if c = absent then
-          Array.unsafe_set live (jo / bank) (Array.unsafe_get live (jo / bank) + 1)
-        else if Array.unsafe_get w (off + 2) land 1 <> 0 then retire_off t off;
-        Array.unsafe_set w off level;
-        Array.unsafe_set w (off + 1) level;
-        Array.unsafe_set w (off + 2) 1
-      in
-      (* [plain] states have no instruction window and no functional-unit
-         limits, so the value-row loop needs no window bookkeeping and no
-         resource placement — the common case (every renaming/syscall
-         sweep) gets a tighter loop. [analyze_many] groups plain
-         configurations together so whole groups qualify. *)
-      let plain =
-        Array.for_all
-          (fun t ->
-            t.resources_unlimited
-            && match t.window with None -> true | Some _ -> false)
-          states
-      in
-      let all_perfect =
-        Array.for_all (fun t -> t.predictor_perfect) states
-      in
-      (* events / placed / syscalls are determined by row counts alone, so
-         they are tallied once per row, not once per row per state *)
-      let value_rows = ref 0 and syscall_rows = ref 0 and rows = ref 0 in
-      let cols = Ddg_sim.Trace.columns trace in
-      let classes = Ddg_sim.Trace.storage_classes trace in
-      let flags_col = cols.flags
-      and pcs = cols.pcs
-      and dsts = cols.dsts
-      and a0 = cols.src0
-      and a1 = cols.src1
-      and a2 = cols.src2 in
-      for i = 0 to cols.n - 1 do
-        let flags = Char.code (BA1.unsafe_get flags_col i) in
-        let extra =
-          if flags land Ddg_sim.Trace.flags_extra <> 0 then
-            Ddg_sim.Trace.extra_srcs trace i
-          else no_extra
-        in
-        let d = BA1.unsafe_get dsts i
-        and s0 = BA1.unsafe_get a0 i
-        and s1 = BA1.unsafe_get a1 i
-        and s2 = BA1.unsafe_get a2 i in
-        let tag = flags land Ddg_sim.Trace.flags_class_mask in
-        incr rows;
-        if tag = Opclass.control_tag then begin
-          let pc = BA1.unsafe_get pcs i
-          and taken = flags land Ddg_sim.Trace.flags_taken <> 0
-          and is_branch = flags land Ddg_sim.Trace.flags_branch <> 0 in
-          (* a control row is inert for a windowless state with perfect
-             prediction (or for any non-branch row): skip the state loop *)
-          if not (plain && (all_perfect || not is_branch)) then
-          for j = 0 to n - 1 do
-            let t = Array.unsafe_get states j in
-            if not plain then window_make_room t;
-            if
-              is_branch
-              && (not t.predictor_perfect)
-              && Branch_pred.mispredicted t.predictor ~pc ~taken
-            then begin
-              t.mispredicts <- t.mispredicts + 1;
-              let jo = j * bank in
-              let hl1 = t.highest_level - 1 in
-              let ready = hl1 in
-              let ready =
-                if s0 >= 0 then max ready (touch_ready s0 jo hl1) else ready
-              in
-              let ready =
-                if s1 >= 0 then max ready (touch_ready s1 jo hl1) else ready
-              in
-              let ready =
-                if s2 >= 0 then max ready (touch_ready s2 jo hl1) else ready
-              in
-              let ready = ref ready in
-              for k = 0 to Array.length extra - 1 do
-                ready := max !ready (touch_ready extra.(k) jo hl1)
-              done;
-              let resolve = !ready + 1 in
-              if resolve > t.highest_level then t.highest_level <- resolve
-            end;
+      let d = BA1.unsafe_get dsts i
+      and s0 = BA1.unsafe_get a0 i
+      and s1 = BA1.unsafe_get a1 i
+      and s2 = BA1.unsafe_get a2 i in
+      let tag = flags land Ddg_sim.Trace.flags_class_mask in
+      incr rows;
+      if tag = Opclass.control_tag then begin
+        let pc = BA1.unsafe_get pcs i
+        and taken = flags land Ddg_sim.Trace.flags_taken <> 0
+        and is_branch = flags land Ddg_sim.Trace.flags_branch <> 0 in
+        (* a control row is inert for a windowless state with perfect
+           prediction (or for any non-branch row): skip the state loop *)
+        if not (plain && (all_perfect || not is_branch)) then
+        for j = 0 to n - 1 do
+          let t = Array.unsafe_get states j in
+          if not plain then window_make_room t;
+          if
+            is_branch
+            && (not t.predictor_perfect)
+            && Branch_pred.mispredicted t.predictor ~pc ~taken
+          then begin
+            t.mispredicts <- t.mispredicts + 1;
+            let jo = j * bank in
+            let hl1 = t.highest_level - 1 in
+            let ready = hl1 in
+            let ready =
+              if s0 >= 0 then max ready (touch_ready s0 jo hl1) else ready
+            in
+            let ready =
+              if s1 >= 0 then max ready (touch_ready s1 jo hl1) else ready
+            in
+            let ready =
+              if s2 >= 0 then max ready (touch_ready s2 jo hl1) else ready
+            in
+            let ready = ref ready in
+            for k = 0 to Array.length extra - 1 do
+              ready := max !ready (touch_ready extra.(k) jo hl1)
+            done;
+            let resolve = !ready + 1 in
+            if resolve > t.highest_level then t.highest_level <- resolve
+          end;
+          if not plain then window_admit t (t.highest_level - 1)
+        done
+      end
+      else if tag = Opclass.syscall_tag then begin
+        incr syscall_rows;
+        for j = 0 to n - 1 do
+          let t = Array.unsafe_get states j in
+          if not plain then window_make_room t;
+          if not t.config.syscall_stall then begin
             if not plain then window_admit t (t.highest_level - 1)
-          done
-        end
-        else if tag = Opclass.syscall_tag then begin
-          incr syscall_rows;
+          end
+          else begin
+            let jo = j * bank in
+            let hl1 = t.highest_level - 1 in
+            let level = t.deepest_level + Array.unsafe_get t.lat tag in
+            let level =
+              if level > t.highest_level then level else t.highest_level
+            in
+            fused_prof_add pcounts pshift j level;
+            if level > t.deepest_level then t.deepest_level <- level;
+            if s0 >= 0 then touch_use s0 jo hl1 level;
+            if s1 >= 0 then touch_use s1 jo hl1 level;
+            if s2 >= 0 then touch_use s2 jo hl1 level;
+            for k = 0 to Array.length extra - 1 do
+              touch_use extra.(k) jo hl1 level
+            done;
+            if d >= 0 then define t d jo level;
+            t.highest_level <- level + 1;
+            if not plain then window_admit t level
+          end
+        done
+      end
+      else begin
+        incr value_rows;
+        let dclass =
+          if d >= 0 then Char.code (Bytes.unsafe_get classes d) else 0
+        in
+        let nextra = Array.length extra in
+        if plain then
+          (* no window, no resource limits: the tight common case. The
+             touch/use/define helpers are spelled out inline — the
+             non-flambda compiler keeps local closures as indirect
+             calls, and at several per operand per state per row that
+             overhead rivals the analysis itself. *)
           for j = 0 to n - 1 do
             let t = Array.unsafe_get states j in
-            if not plain then window_make_room t;
-            if not t.config.syscall_stall then begin
-              if not plain then window_admit t (t.highest_level - 1)
-            end
-            else begin
-              let jo = j * bank in
-              let hl1 = t.highest_level - 1 in
-              let level = t.deepest_level + Array.unsafe_get t.lat tag in
-              let level =
-                if level > t.highest_level then level else t.highest_level
-              in
-              fused_prof_add pcounts pshift j level;
-              if level > t.deepest_level then t.deepest_level <- level;
-              if s0 >= 0 then touch_use s0 jo hl1 level;
-              if s1 >= 0 then touch_use s1 jo hl1 level;
-              if s2 >= 0 then touch_use s2 jo hl1 level;
-              for k = 0 to Array.length extra - 1 do
-                touch_use extra.(k) jo hl1 level
+            let jo = j * bank in
+            let hl1 = t.highest_level - 1 in
+            let ready = hl1 in
+            let ready =
+              if s0 >= 0 then begin
+                let off = (s0 * stride) + jo in
+                let c = Array.unsafe_get w off in
+                if c = absent then begin
+                  Array.unsafe_set w off hl1;
+                  Array.unsafe_set w (off + 1) hl1;
+                  Array.unsafe_set w (off + 2) 0;
+                  Array.unsafe_set live j (Array.unsafe_get live j + 1);
+                  if hl1 > ready then hl1 else ready
+                end
+                else if c > ready then c
+                else ready
+              end
+              else ready
+            in
+            let ready =
+              if s1 >= 0 then begin
+                let off = (s1 * stride) + jo in
+                let c = Array.unsafe_get w off in
+                if c = absent then begin
+                  Array.unsafe_set w off hl1;
+                  Array.unsafe_set w (off + 1) hl1;
+                  Array.unsafe_set w (off + 2) 0;
+                  Array.unsafe_set live j (Array.unsafe_get live j + 1);
+                  if hl1 > ready then hl1 else ready
+                end
+                else if c > ready then c
+                else ready
+              end
+              else ready
+            in
+            let ready =
+              if s2 >= 0 then begin
+                let off = (s2 * stride) + jo in
+                let c = Array.unsafe_get w off in
+                if c = absent then begin
+                  Array.unsafe_set w off hl1;
+                  Array.unsafe_set w (off + 1) hl1;
+                  Array.unsafe_set w (off + 2) 0;
+                  Array.unsafe_set live j (Array.unsafe_get live j + 1);
+                  if hl1 > ready then hl1 else ready
+                end
+                else if c > ready then c
+                else ready
+              end
+              else ready
+            in
+            let ready =
+              if nextra = 0 then ready
+              else begin
+                let r = ref ready in
+                for k = 0 to nextra - 1 do
+                  r := max !r (touch_ready extra.(k) jo hl1)
+                done;
+                !r
+              end
+            in
+            let level = ready + Array.unsafe_get t.lat tag in
+            let level =
+              if d >= 0 && Array.unsafe_get t.storage_dep dclass
+              then begin
+                let off = (d * stride) + jo in
+                let c = Array.unsafe_get w off in
+                if c = absent then level
+                else
+                  let dp = Array.unsafe_get w (off + 1) in
+                  let con = (if c > dp then c else dp) + 1 in
+                  if con > level then con else level
+              end
+              else level
+            in
+            (let counts = Array.unsafe_get pcounts j in
+             let idx = level lsr Array.unsafe_get pshift j in
+             if idx >= Array.length counts then
+               fused_prof_add pcounts pshift j level
+             else
+               Array.unsafe_set counts idx (Array.unsafe_get counts idx + 1));
+            if level > t.deepest_level then t.deepest_level <- level;
+            if s0 >= 0 then begin
+              let off = (s0 * stride) + jo in
+              if level > Array.unsafe_get w (off + 1) then
+                Array.unsafe_set w (off + 1) level;
+              Array.unsafe_set w (off + 2)
+                (Array.unsafe_get w (off + 2) + 2)
+            end;
+            if s1 >= 0 then begin
+              let off = (s1 * stride) + jo in
+              if level > Array.unsafe_get w (off + 1) then
+                Array.unsafe_set w (off + 1) level;
+              Array.unsafe_set w (off + 2)
+                (Array.unsafe_get w (off + 2) + 2)
+            end;
+            if s2 >= 0 then begin
+              let off = (s2 * stride) + jo in
+              if level > Array.unsafe_get w (off + 1) then
+                Array.unsafe_set w (off + 1) level;
+              Array.unsafe_set w (off + 2)
+                (Array.unsafe_get w (off + 2) + 2)
+            end;
+            if nextra <> 0 then
+              for k = 0 to nextra - 1 do
+                record_use extra.(k) jo level
               done;
-              if d >= 0 then define t d jo level;
-              t.highest_level <- level + 1;
-              if not plain then window_admit t level
+            if d >= 0 then begin
+              let off = (d * stride) + jo in
+              let c = Array.unsafe_get w off in
+              if c = absent then
+                Array.unsafe_set live j (Array.unsafe_get live j + 1)
+              else if Array.unsafe_get w (off + 2) land 1 <> 0 then
+                retire_off t off;
+              Array.unsafe_set w off level;
+              Array.unsafe_set w (off + 1) level;
+              Array.unsafe_set w (off + 2) 1
             end
           done
-        end
-        else begin
-          incr value_rows;
-          let dclass =
-            if d >= 0 then Char.code (Bytes.unsafe_get classes d) else 0
-          in
-          let nextra = Array.length extra in
-          if plain then
-            (* no window, no resource limits: the tight common case. The
-               touch/use/define helpers are spelled out inline — the
-               non-flambda compiler keeps local closures as indirect
-               calls, and at several per operand per state per row that
-               overhead rivals the analysis itself. *)
-            for j = 0 to n - 1 do
-              let t = Array.unsafe_get states j in
-              let jo = j * bank in
-              let hl1 = t.highest_level - 1 in
-              let ready = hl1 in
-              let ready =
-                if s0 >= 0 then begin
-                  let off = (s0 * stride) + jo in
-                  let c = Array.unsafe_get w off in
-                  if c = absent then begin
-                    Array.unsafe_set w off hl1;
-                    Array.unsafe_set w (off + 1) hl1;
-                    Array.unsafe_set w (off + 2) 0;
-                    Array.unsafe_set live j (Array.unsafe_get live j + 1);
-                    if hl1 > ready then hl1 else ready
-                  end
-                  else if c > ready then c
-                  else ready
-                end
-                else ready
-              in
-              let ready =
-                if s1 >= 0 then begin
-                  let off = (s1 * stride) + jo in
-                  let c = Array.unsafe_get w off in
-                  if c = absent then begin
-                    Array.unsafe_set w off hl1;
-                    Array.unsafe_set w (off + 1) hl1;
-                    Array.unsafe_set w (off + 2) 0;
-                    Array.unsafe_set live j (Array.unsafe_get live j + 1);
-                    if hl1 > ready then hl1 else ready
-                  end
-                  else if c > ready then c
-                  else ready
-                end
-                else ready
-              in
-              let ready =
-                if s2 >= 0 then begin
-                  let off = (s2 * stride) + jo in
-                  let c = Array.unsafe_get w off in
-                  if c = absent then begin
-                    Array.unsafe_set w off hl1;
-                    Array.unsafe_set w (off + 1) hl1;
-                    Array.unsafe_set w (off + 2) 0;
-                    Array.unsafe_set live j (Array.unsafe_get live j + 1);
-                    if hl1 > ready then hl1 else ready
-                  end
-                  else if c > ready then c
-                  else ready
-                end
-                else ready
-              in
-              let ready =
-                if nextra = 0 then ready
-                else begin
-                  let r = ref ready in
-                  for k = 0 to nextra - 1 do
-                    r := max !r (touch_ready extra.(k) jo hl1)
-                  done;
-                  !r
-                end
-              in
-              let level = ready + Array.unsafe_get t.lat tag in
-              let level =
-                if d >= 0 && Array.unsafe_get t.storage_dep dclass
-                then begin
-                  let off = (d * stride) + jo in
-                  let c = Array.unsafe_get w off in
-                  if c = absent then level
-                  else
-                    let dp = Array.unsafe_get w (off + 1) in
-                    let con = (if c > dp then c else dp) + 1 in
-                    if con > level then con else level
-                end
-                else level
-              in
-              (let counts = Array.unsafe_get pcounts j in
-               let idx = level lsr Array.unsafe_get pshift j in
-               if idx >= Array.length counts then
-                 fused_prof_add pcounts pshift j level
-               else
-                 Array.unsafe_set counts idx (Array.unsafe_get counts idx + 1));
-              if level > t.deepest_level then t.deepest_level <- level;
+        else
+          for j = 0 to n - 1 do
+            let t = Array.unsafe_get states j in
+            window_make_room t;
+            let jo = j * bank in
+            let hl1 = t.highest_level - 1 in
+            let ready = hl1 in
+            let ready =
               if s0 >= 0 then begin
                 let off = (s0 * stride) + jo in
-                if level > Array.unsafe_get w (off + 1) then
-                  Array.unsafe_set w (off + 1) level;
-                Array.unsafe_set w (off + 2)
-                  (Array.unsafe_get w (off + 2) + 2)
-              end;
-              if s1 >= 0 then begin
-                let off = (s1 * stride) + jo in
-                if level > Array.unsafe_get w (off + 1) then
-                  Array.unsafe_set w (off + 1) level;
-                Array.unsafe_set w (off + 2)
-                  (Array.unsafe_get w (off + 2) + 2)
-              end;
-              if s2 >= 0 then begin
-                let off = (s2 * stride) + jo in
-                if level > Array.unsafe_get w (off + 1) then
-                  Array.unsafe_set w (off + 1) level;
-                Array.unsafe_set w (off + 2)
-                  (Array.unsafe_get w (off + 2) + 2)
-              end;
-              if nextra <> 0 then
-                for k = 0 to nextra - 1 do
-                  record_use extra.(k) jo level
-                done;
-              if d >= 0 then begin
-                let off = (d * stride) + jo in
                 let c = Array.unsafe_get w off in
-                if c = absent then
-                  Array.unsafe_set live j (Array.unsafe_get live j + 1)
-                else if Array.unsafe_get w (off + 2) land 1 <> 0 then
-                  retire_off t off;
-                Array.unsafe_set w off level;
-                Array.unsafe_set w (off + 1) level;
-                Array.unsafe_set w (off + 2) 1
+                if c = absent then begin
+                  Array.unsafe_set w off hl1;
+                  Array.unsafe_set w (off + 1) hl1;
+                  Array.unsafe_set w (off + 2) 0;
+                  Array.unsafe_set live j (Array.unsafe_get live j + 1);
+                  if hl1 > ready then hl1 else ready
+                end
+                else if c > ready then c
+                else ready
               end
-            done
-          else
-            for j = 0 to n - 1 do
-              let t = Array.unsafe_get states j in
-              window_make_room t;
-              let jo = j * bank in
-              let hl1 = t.highest_level - 1 in
-              let ready = hl1 in
-              let ready =
-                if s0 >= 0 then begin
-                  let off = (s0 * stride) + jo in
-                  let c = Array.unsafe_get w off in
-                  if c = absent then begin
-                    Array.unsafe_set w off hl1;
-                    Array.unsafe_set w (off + 1) hl1;
-                    Array.unsafe_set w (off + 2) 0;
-                    Array.unsafe_set live j (Array.unsafe_get live j + 1);
-                    if hl1 > ready then hl1 else ready
-                  end
-                  else if c > ready then c
-                  else ready
-                end
-                else ready
-              in
-              let ready =
-                if s1 >= 0 then begin
-                  let off = (s1 * stride) + jo in
-                  let c = Array.unsafe_get w off in
-                  if c = absent then begin
-                    Array.unsafe_set w off hl1;
-                    Array.unsafe_set w (off + 1) hl1;
-                    Array.unsafe_set w (off + 2) 0;
-                    Array.unsafe_set live j (Array.unsafe_get live j + 1);
-                    if hl1 > ready then hl1 else ready
-                  end
-                  else if c > ready then c
-                  else ready
-                end
-                else ready
-              in
-              let ready =
-                if s2 >= 0 then begin
-                  let off = (s2 * stride) + jo in
-                  let c = Array.unsafe_get w off in
-                  if c = absent then begin
-                    Array.unsafe_set w off hl1;
-                    Array.unsafe_set w (off + 1) hl1;
-                    Array.unsafe_set w (off + 2) 0;
-                    Array.unsafe_set live j (Array.unsafe_get live j + 1);
-                    if hl1 > ready then hl1 else ready
-                  end
-                  else if c > ready then c
-                  else ready
-                end
-                else ready
-              in
-              let ready =
-                if nextra = 0 then ready
-                else begin
-                  let r = ref ready in
-                  for k = 0 to nextra - 1 do
-                    r := max !r (touch_ready extra.(k) jo hl1)
-                  done;
-                  !r
-                end
-              in
-              let level = ready + Array.unsafe_get t.lat tag in
-              let level =
-                if d >= 0 && Array.unsafe_get t.storage_dep dclass
-                then begin
-                  let off = (d * stride) + jo in
-                  let c = Array.unsafe_get w off in
-                  if c = absent then level
-                  else
-                    let dp = Array.unsafe_get w (off + 1) in
-                    let con = (if c > dp then c else dp) + 1 in
-                    if con > level then con else level
-                end
-                else level
-              in
-              let level =
-                if t.resources_unlimited then level
-                else
-                  Resources.place t.resources (Array.unsafe_get t.ops tag) level
-              in
-              (let counts = Array.unsafe_get pcounts j in
-               let idx = level lsr Array.unsafe_get pshift j in
-               if idx >= Array.length counts then
-                 fused_prof_add pcounts pshift j level
-               else
-                 Array.unsafe_set counts idx (Array.unsafe_get counts idx + 1));
-              if level > t.deepest_level then t.deepest_level <- level;
-              if s0 >= 0 then begin
-                let off = (s0 * stride) + jo in
-                if level > Array.unsafe_get w (off + 1) then
-                  Array.unsafe_set w (off + 1) level;
-                Array.unsafe_set w (off + 2)
-                  (Array.unsafe_get w (off + 2) + 2)
-              end;
+              else ready
+            in
+            let ready =
               if s1 >= 0 then begin
                 let off = (s1 * stride) + jo in
-                if level > Array.unsafe_get w (off + 1) then
-                  Array.unsafe_set w (off + 1) level;
-                Array.unsafe_set w (off + 2)
-                  (Array.unsafe_get w (off + 2) + 2)
-              end;
+                let c = Array.unsafe_get w off in
+                if c = absent then begin
+                  Array.unsafe_set w off hl1;
+                  Array.unsafe_set w (off + 1) hl1;
+                  Array.unsafe_set w (off + 2) 0;
+                  Array.unsafe_set live j (Array.unsafe_get live j + 1);
+                  if hl1 > ready then hl1 else ready
+                end
+                else if c > ready then c
+                else ready
+              end
+              else ready
+            in
+            let ready =
               if s2 >= 0 then begin
                 let off = (s2 * stride) + jo in
-                if level > Array.unsafe_get w (off + 1) then
-                  Array.unsafe_set w (off + 1) level;
-                Array.unsafe_set w (off + 2)
-                  (Array.unsafe_get w (off + 2) + 2)
-              end;
-              if nextra <> 0 then
+                let c = Array.unsafe_get w off in
+                if c = absent then begin
+                  Array.unsafe_set w off hl1;
+                  Array.unsafe_set w (off + 1) hl1;
+                  Array.unsafe_set w (off + 2) 0;
+                  Array.unsafe_set live j (Array.unsafe_get live j + 1);
+                  if hl1 > ready then hl1 else ready
+                end
+                else if c > ready then c
+                else ready
+              end
+              else ready
+            in
+            let ready =
+              if nextra = 0 then ready
+              else begin
+                let r = ref ready in
                 for k = 0 to nextra - 1 do
-                  record_use extra.(k) jo level
+                  r := max !r (touch_ready extra.(k) jo hl1)
                 done;
-              if d >= 0 then begin
+                !r
+              end
+            in
+            let level = ready + Array.unsafe_get t.lat tag in
+            let level =
+              if d >= 0 && Array.unsafe_get t.storage_dep dclass
+              then begin
                 let off = (d * stride) + jo in
                 let c = Array.unsafe_get w off in
-                if c = absent then
-                  Array.unsafe_set live j (Array.unsafe_get live j + 1)
-                else if Array.unsafe_get w (off + 2) land 1 <> 0 then
-                  retire_off t off;
-                Array.unsafe_set w off level;
+                if c = absent then level
+                else
+                  let dp = Array.unsafe_get w (off + 1) in
+                  let con = (if c > dp then c else dp) + 1 in
+                  if con > level then con else level
+              end
+              else level
+            in
+            let level =
+              if t.resources_unlimited then level
+              else
+                Resources.place t.resources (Array.unsafe_get t.ops tag) level
+            in
+            (let counts = Array.unsafe_get pcounts j in
+             let idx = level lsr Array.unsafe_get pshift j in
+             if idx >= Array.length counts then
+               fused_prof_add pcounts pshift j level
+             else
+               Array.unsafe_set counts idx (Array.unsafe_get counts idx + 1));
+            if level > t.deepest_level then t.deepest_level <- level;
+            if s0 >= 0 then begin
+              let off = (s0 * stride) + jo in
+              if level > Array.unsafe_get w (off + 1) then
                 Array.unsafe_set w (off + 1) level;
-                Array.unsafe_set w (off + 2) 1
-              end;
-              window_admit t level
-            done
-        end
-      done;
-      (* retire every live computed value into each state's distributions,
-         and settle the batched row counters *)
-      List.mapi
-        (fun j _ ->
-          let t = states.(j) in
-          let jo = j * bank in
-          for id = 0 to num_locs - 1 do
-            let off = (id * stride) + jo in
-            if
-              Array.unsafe_get w off <> absent
-              && Array.unsafe_get w (off + 2) land 1 <> 0
-            then retire_off t off
-          done;
-          t.events <- !rows;
-          t.syscalls <- !syscall_rows;
-          t.placed <-
-            !value_rows
-            + (if t.config.syscall_stall then !syscall_rows else 0);
-          (* deepest_level is the maximum counted level (placed ops raise
-             it with every histogram increment), so it bounds max_level *)
-          t.profile <-
-            Profile.of_buckets
-              ~width:(1 lsl pshift.(j))
-              ~max_level:t.deepest_level ~total:t.placed pcounts.(j);
-          build_stats t ~live_locations:live.(j))
-        configs
+              Array.unsafe_set w (off + 2)
+                (Array.unsafe_get w (off + 2) + 2)
+            end;
+            if s1 >= 0 then begin
+              let off = (s1 * stride) + jo in
+              if level > Array.unsafe_get w (off + 1) then
+                Array.unsafe_set w (off + 1) level;
+              Array.unsafe_set w (off + 2)
+                (Array.unsafe_get w (off + 2) + 2)
+            end;
+            if s2 >= 0 then begin
+              let off = (s2 * stride) + jo in
+              if level > Array.unsafe_get w (off + 1) then
+                Array.unsafe_set w (off + 1) level;
+              Array.unsafe_set w (off + 2)
+                (Array.unsafe_get w (off + 2) + 2)
+            end;
+            if nextra <> 0 then
+              for k = 0 to nextra - 1 do
+                record_use extra.(k) jo level
+              done;
+            if d >= 0 then begin
+              let off = (d * stride) + jo in
+              let c = Array.unsafe_get w off in
+              if c = absent then
+                Array.unsafe_set live j (Array.unsafe_get live j + 1)
+              else if Array.unsafe_get w (off + 2) land 1 <> 0 then
+                retire_off t off;
+              Array.unsafe_set w off level;
+              Array.unsafe_set w (off + 1) level;
+              Array.unsafe_set w (off + 2) 1
+            end;
+            window_admit t level
+          done
+      end
+    done
+  in
+  (* retire every live computed value into each state's distributions,
+     and settle the batched row counters *)
+  let retire_all () =
+    List.mapi
+      (fun j _ ->
+        let t = states.(j) in
+        let jo = j * bank in
+        for id = 0 to num_locs - 1 do
+          let off = (id * stride) + jo in
+          if
+            Array.unsafe_get w off <> absent
+            && Array.unsafe_get w (off + 2) land 1 <> 0
+          then retire_off t off
+        done;
+        t.events <- !rows;
+        t.syscalls <- !syscall_rows;
+        t.placed <-
+          !value_rows
+          + (if t.config.syscall_stall then !syscall_rows else 0);
+        (* deepest_level is the maximum counted level (placed ops raise
+           it with every histogram increment), so it bounds max_level *)
+        t.profile <-
+          Profile.of_buckets
+            ~width:(1 lsl pshift.(j))
+            ~max_level:t.deepest_level ~total:t.placed pcounts.(j);
+        build_stats t ~live_locations:live.(j))
+      configs
+  in
+  time rows_span pass;
+  time stats_span retire_all
+
+let analyze config trace =
+  let stats =
+    match
+      kernel ~rows_span:(feed_span config) ~stats_span:span_stats [ config ]
+        trace
+    with
+    | [ stats ] -> stats
+    | _ -> assert false
+  in
+  Obs.incr analyze_runs;
+  Obs.add analyze_events stats.events;
+  stats
 
 (* Stream a flat trace file through one analyzer state in bounded
    memory: rows arrive through [Trace_io.stream_file]'s fixed read
    windows — never a mapping, never a materialised trace — and feed the
-   same row engine as the in-memory paths, so the stats are identical to
+   hashed row engine, as record events do; the stats are identical to
    [analyze config] over the same trace. The storage-class table is
    rebuilt from the file's location section up front, exactly as the
    packed trace builds its own on intern. *)
@@ -999,7 +984,7 @@ let analyze_stream ?verify ?window config path =
    parallel domains — the packed trace is shared read-only, every other
    structure is group-private. Plain configurations (no window, no
    functional-unit limits) are grouped separately from the rest so their
-   groups take {!fused_group}'s specialised value loop; results come back
+   groups take {!kernel}'s specialised value loop; results come back
    in the caller's order regardless. *)
 let analyze_many ?max_domains configs trace =
   (* before any group starts, so no worker domain raises mid-run *)
@@ -1037,7 +1022,7 @@ let analyze_many ?max_domains configs trace =
       let ngroups = Array.length groups in
       let run g =
         List.combine (List.map fst g)
-          (fused_group (List.map snd g) trace)
+          (kernel (List.map snd g) trace)
       in
       let results = Array.make ngroups [] in
       let workers =

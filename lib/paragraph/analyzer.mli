@@ -74,10 +74,13 @@ val finish : t -> stats
     analyzer must not be fed after [finish]. *)
 
 val analyze : Config.t -> Ddg_sim.Trace.t -> stats
-(** One pass over the packed trace columns. Equivalent to [create] +
-    [feed] each event + [finish], but the hot loop reads the trace's flat
-    int rows directly (locations stay dense ids, operation classes stay
-    tags) and allocates nothing per event. *)
+(** One pass over the packed (or mapped) trace columns, by the kernel
+    {!analyze_many} runs, here with a single state: the live well is a
+    flat array indexed by the trace's dense location ids, so the hot
+    loop hashes nothing and allocates nothing per event. The stats equal
+    those of [create] + [feed] each event + [finish] — the hashed record
+    path, which is the reference this kernel is checked against — and of
+    {!analyze_stream} over the same trace written flat. *)
 
 val analyze_stream :
   ?verify:bool -> ?window:int -> Config.t -> string -> stats

@@ -48,17 +48,6 @@ let buckets t =
   done;
   !acc
 
-let merge_into ~into src =
-  for i = 0 to Array.length src.buckets - 1 do
-    into.buckets.(i) <- into.buckets.(i) + src.buckets.(i)
-  done;
-  into.n <- into.n + src.n;
-  into.sum <- into.sum + src.sum;
-  if src.n > 0 then begin
-    if src.min_v < into.min_v then into.min_v <- src.min_v;
-    if src.max_v > into.max_v then into.max_v <- src.max_v
-  end
-
 let of_raw ~count ~total ~min_value ~max_value pairs =
   if count < 0 || total < 0 then invalid_arg "Dist.of_raw: negative moments";
   let t = create () in

@@ -28,12 +28,6 @@ val buckets : t -> (int * int * int) list
     [lo..hi] (inclusive); bucket 0 is [0..0], then [1..1], [2..3],
     [4..7], ... *)
 
-val merge_into : into:t -> t -> unit
-(** [merge_into ~into src] adds every sample of [src] into [into]
-    (bucket counts and moments; [src] is unchanged). Equivalent to
-    having {!add}ed both sample streams into one distribution, in any
-    order — merging is commutative and associative. *)
-
 val of_raw :
   count:int ->
   total:int ->

@@ -96,26 +96,6 @@ let add t ~lo ~hi =
 
 let count t = t.n
 
-let merge_into ~into src =
-  resolve src;
-  (* exactness needs the destination at least as coarse as the source:
-     power-of-two bucket boundaries then align, and totals just add *)
-  if src.max_hi >= 0 then ensure into src.max_hi;
-  while into.width < src.width do
-    coalesce into
-  done;
-  resolve into;
-  let shift = into.wshift - src.wshift in
-  for j = 0 to Array.length src.counts - 1 do
-    if src.counts.(j) <> 0 then begin
-      let i = j lsr shift in
-      into.counts.(i) <- into.counts.(i) + src.counts.(j)
-    end
-  done;
-  into.n <- into.n + src.n;
-  into.total <- into.total + src.total;
-  if src.max_hi > into.max_hi then into.max_hi <- src.max_hi
-
 let to_profile ?(slots = default_cap) t =
   if slots < 2 then invalid_arg "Intervals.to_profile: slots < 2";
   resolve t;

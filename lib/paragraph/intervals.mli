@@ -27,12 +27,6 @@ val add : t -> lo:int -> hi:int -> unit
 val count : t -> int
 (** Intervals recorded. *)
 
-val merge_into : into:t -> t -> unit
-(** [merge_into ~into src] records every interval of [src] into [into]
-    ([src]'s observable state is unchanged). {!to_profile} depends only
-    on the interval multiset, so merge order never changes the resolved
-    profile. *)
-
 val to_profile : ?slots:int -> t -> Profile.t
 (** Resolve into a profile of "units live per level", bucketed exactly
     like {!Profile.create} [~slots] would bucket it ([slots] at most

@@ -28,6 +28,17 @@ let float_repr x =
   if Float.is_integer x && Float.abs x < 1e15 then Printf.sprintf "%.1f" x
   else Printf.sprintf "%.12g" x
 
+(* a repeated key is a bug in the caller: JSON readers silently keep
+   one of the values *)
+let check_keys fields =
+  let seen = Hashtbl.create 16 in
+  List.iter
+    (fun (key, _) ->
+      if Hashtbl.mem seen key then
+        invalid_arg (Printf.sprintf "Json.to_string: duplicate key %S" key);
+      Hashtbl.add seen key ())
+    fields
+
 let to_string ?(minify = false) t =
   let buf = Buffer.create 256 in
   let newline indent =
@@ -61,6 +72,7 @@ let to_string ?(minify = false) t =
         Buffer.add_char buf ']'
     | Obj [] -> Buffer.add_string buf "{}"
     | Obj fields ->
+        check_keys fields;
         Buffer.add_char buf '{';
         List.iteri
           (fun i (key, value) ->

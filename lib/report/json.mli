@@ -14,4 +14,6 @@ val to_string : ?minify:bool -> t -> string
 (** Pretty-printed with two-space indentation by default; [minify] emits
     a single line. Floats that are whole numbers keep a trailing [.0];
     NaN and infinities are emitted as [null] (JSON has no encoding for
-    them). *)
+    them).
+    @raise Invalid_argument when an [Obj], at any depth, repeats a
+    key. *)

@@ -72,10 +72,6 @@ let create ~runner ?cluster ?workers ?(max_inflight = 64)
     endpoints =
   let stop_r, stop_w = Unix.pipe ~cloexec:true () in
   let pool = Pool.pool ?workers () in
-  (* analyze requests segment single traces across this same pool's idle
-     workers (Pool.run_all is claim-based, so a request body running on
-     one worker can fan out without deadlocking the pool) *)
-  Runner.set_pool runner pool;
   { runner; cluster; pool; max_inflight; max_connections;
     default_deadline_s;
     metrics = Metrics.create (); log; endpoints; lock = Mutex.create ();

@@ -34,7 +34,7 @@
     (positions, kind bytes, loop ids — each fixed-stride), a varint aux
     blob (loop descriptors and >3-source overflow rows) and a 24-byte
     trailer: the MD5 digest of everything before it, then ["DDGTRC3E"].
-    Sections are zero-padded to 8-byte alignment. See DESIGN.md §16.
+    Sections are zero-padded to 8-byte alignment. See DESIGN.md §15.
 
     All readers accept all three versions ({!read_channel} converts v1/v2
     on the fly); the v3-only entry points ({!map_file}, {!stream_file})

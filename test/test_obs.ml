@@ -388,110 +388,6 @@ let test_fake_clock_e2e_bit_stable () =
   | Ok () -> ()
   | Error msg -> Alcotest.failf "live exposition fails the grammar: %s" msg
 
-(* --- segmented analysis under the fake clock ---------------------------------- *)
-
-let find_hist_labeled snap name labels =
-  match
-    List.find_opt
-      (fun h -> h.Obs.hs_name = name && h.Obs.hs_labels = labels)
-      snap.Obs.histograms
-  with
-  | Some h -> h
-  | None -> Alcotest.failf "histogram %s (labeled) not in snapshot" name
-
-(* A deterministic synthetic trace with enough cross-segment traffic
-   (register reuse, memory stores, conservative syscalls) to make every
-   stitch path do real work. *)
-let segmented_trace =
-  lazy
-    (let open Ddg_isa in
-     let reg i = Loc.Reg (1 + (i mod 6)) in
-     let mem i = Loc.Mem (Segment.data_base + (4 * (i mod 64))) in
-     let event i =
-       let pc = i land 1023 in
-       match i mod 7 with
-       | 0 | 1 | 2 ->
-           { Ddg_sim.Trace.pc; op_class = Opclass.Int_alu;
-             dest = Some (reg i); srcs = [ reg (i + 1); reg (i + 2) ];
-             branch = None }
-       | 3 ->
-           { Ddg_sim.Trace.pc; op_class = Opclass.Load_store;
-             dest = Some (reg i); srcs = [ reg (i + 3); mem i ];
-             branch = None }
-       | 4 ->
-           { Ddg_sim.Trace.pc; op_class = Opclass.Load_store;
-             dest = Some (mem i); srcs = [ reg (i + 1) ]; branch = None }
-       | 5 when i mod 91 = 0 ->
-           { Ddg_sim.Trace.pc; op_class = Opclass.Syscall; dest = None;
-             srcs = [ reg i ]; branch = None }
-       | 5 ->
-           { Ddg_sim.Trace.pc; op_class = Opclass.Fp_multiply;
-             dest = Some (Loc.Freg (i mod 4));
-             srcs = [ Loc.Freg ((i + 1) mod 4) ]; branch = None }
-       | _ ->
-           { Ddg_sim.Trace.pc; op_class = Opclass.Control; dest = None;
-             srcs = [ reg i ]; branch = Some { Ddg_sim.Trace.taken = i land 3 = 0 } }
-     in
-     Ddg_sim.Trace.of_list (List.init 3000 event))
-
-let one_segmented_run ~segments () =
-  Obs.reset ();
-  Obs.Clock.use_fake ();
-  Obs.enable ();
-  let trace = Lazy.force segmented_trace in
-  let pool = Ddg_jobs.Engine.Pool.pool ~workers:segments () in
-  Fun.protect
-    ~finally:(fun () -> Ddg_jobs.Engine.Pool.shutdown pool)
-    (fun () ->
-      let stats, used =
-        Ddg_paragraph.Segmented.analyze_ext
-          ~exec:(Ddg_jobs.Engine.Pool.run_all pool)
-          ~segments Config.default trace
-      in
-      (Ddg_paragraph.Stats_codec.to_string stats, used, Obs.snapshot ()))
-
-(* A segmented run over a real domain pool, twice under the fake clock:
-   the encoded stats must be byte-identical to the sequential engine and
-   across runs (the stitch is deterministic no matter how the domains
-   interleave), and the segment counters and span sample counts exact.
-   Span *durations* are deliberately not asserted: with K domains racing
-   on the shared fake clock, which domain observes which tick is
-   scheduler-dependent — only counts and the stats bytes are stable. *)
-let test_segmented_fake_clock_bit_stable () =
-  with_clean_obs @@ fun () ->
-  let segments = 4 in
-  let seq =
-    Ddg_paragraph.Stats_codec.to_string
-      (Ddg_paragraph.Analyzer.analyze Config.default
-         (Lazy.force segmented_trace))
-  in
-  let b1, used1, s1 = one_segmented_run ~segments () in
-  let b2, used2, s2 = one_segmented_run ~segments () in
-  Alcotest.(check int) "all segments used" segments used1;
-  Alcotest.(check int) "segment count stable" used1 used2;
-  Alcotest.(check string) "segmented = sequential, byte-for-byte" seq b1;
-  Alcotest.(check string) "stats bit-stable across runs" b1 b2;
-  List.iter
-    (fun s ->
-      Alcotest.(check int) "ddg_segments_total = K" segments
-        (find_counter s "ddg_segments_total");
-      Alcotest.(check int) "ddg_segmented_runs_total = 1" 1
-        (find_counter s "ddg_segmented_runs_total");
-      List.iter
-        (fun phase ->
-          Alcotest.(check int)
-            (Printf.sprintf "one %s span" phase)
-            1
-            (find_hist_labeled s "ddg_segment_phase_ns" [ ("phase", phase) ])
-              .Obs.hs_count)
-        [ "skeleton"; "segments"; "stitch" ];
-      Alcotest.(check int) "one run span per segment" segments
-        (find_hist s "ddg_segment_run_ns").Obs.hs_count)
-    [ s1; s2 ];
-  match Obs.validate_exposition (Obs.prometheus_of_snapshot s1) with
-  | Ok () -> ()
-  | Error msg -> Alcotest.failf "segmented exposition fails the grammar: %s" msg
-
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
     [ prop_one_bucket;
@@ -521,7 +417,5 @@ let tests =
     Alcotest.test_case "exact under 4 domains x 4 threads (fake clock)" `Quick
       test_hammer_fake_clock;
     Alcotest.test_case "fake-clock daemon e2e is bit-stable" `Quick
-      test_fake_clock_e2e_bit_stable;
-    Alcotest.test_case "fake-clock segmented analysis is bit-stable" `Quick
-      test_segmented_fake_clock_bit_stable ]
+      test_fake_clock_e2e_bit_stable ]
   @ qcheck_tests

@@ -443,6 +443,170 @@ let test_describe () =
     (String.length s > 0 &&
      String.sub s 0 12 = "conservative")
 
+(* --- recorded stats digests ---------------------------------------------------
+
+   The MD5 of the canonical Stats_codec bytes of every (workload, config)
+   cell, recorded from the hashed single-config engine. Every analysis
+   path must reproduce them byte for byte: the kernel at width 1
+   ([analyze], over both the built and the mapped trace), the fused
+   kernel over the whole config list, the streamed flat file, and at
+   tiny size the record-event path. cc1x at default size spans ~65k
+   levels, so profile bucket coalescing is pinned too. *)
+
+let digest_configs =
+  let fu l = Config.with_fu l Config.default in
+  [ ("base", Config.default);
+    ("optimistic", Config.dataflow);
+    ("no renaming", Config.(with_renaming rename_none default));
+    ("regs+stack", Config.(with_renaming rename_registers_stack default));
+    ("window 64", Config.(with_window (Some 64) default));
+    ("fu total 4", fu { Config.unlimited_fu with total = Some 4 });
+    ( "fu 6/int 3/mem 2",
+      fu
+        { Config.unlimited_fu with
+          total = Some 6; int_units = Some 3; mem_units = Some 2 } );
+    ("2-bit(10)", Config.(with_branch (Two_bit 10) default));
+    ("predict-taken", Config.(with_branch Predict_taken default)) ]
+
+let recorded_digests =
+  [ ("cc1x/tiny/base", "43f13e6df014a247cce23680669ee9b3");
+    ("cc1x/tiny/optimistic", "1702d50679c91e7a2e1f4b40619c2917");
+    ("cc1x/tiny/no renaming", "3d08322e2674e68aaf1574929571c17e");
+    ("cc1x/tiny/regs+stack", "1ed596391f7d57a74db84ac3a53c8090");
+    ("cc1x/tiny/window 64", "a2a58371069915d126a050f8ddf32009");
+    ("cc1x/tiny/fu total 4", "1d17fad81d7c5f601bb3cb99d13965aa");
+    ("cc1x/tiny/fu 6/int 3/mem 2", "58cccfa62428bba7f3a014b6c918fda0");
+    ("cc1x/tiny/2-bit(10)", "456049dea726cd16175f646ab5f28b4e");
+    ("cc1x/tiny/predict-taken", "3ffcedaa4e20960137694c58d8134257");
+    ("doducx/tiny/base", "e6f23a4599c9c668aff5e9c998b5371d");
+    ("doducx/tiny/optimistic", "d05e1580dd6fed86e2c4b1d9315b1989");
+    ("doducx/tiny/no renaming", "5d94236492bac04a0297f256522d41b0");
+    ("doducx/tiny/regs+stack", "e6f23a4599c9c668aff5e9c998b5371d");
+    ("doducx/tiny/window 64", "63e7570887718230207bbb182c8ecded");
+    ("doducx/tiny/fu total 4", "2033367fb4067dbfb26293259a5fb99b");
+    ("doducx/tiny/fu 6/int 3/mem 2", "031fd03063890535721ba8d90fbae28f");
+    ("doducx/tiny/2-bit(10)", "6a7b4b50f775e50313429e41a831e9e6");
+    ("doducx/tiny/predict-taken", "9fd9c7b7689d96c15a1a9aa0b8f00adc");
+    ("eqnx/tiny/base", "72abc2abf75eaf7c4282de93989e09ae");
+    ("eqnx/tiny/optimistic", "932572b9144a841acf60eac71902619c");
+    ("eqnx/tiny/no renaming", "4c77f78ede40f07b6cbcb29d01eb165d");
+    ("eqnx/tiny/regs+stack", "72abc2abf75eaf7c4282de93989e09ae");
+    ("eqnx/tiny/window 64", "5bf59a675f380bc438a145a0cbcbe8d3");
+    ("eqnx/tiny/fu total 4", "5e620c5b13c077f7990d7755629f53ea");
+    ("eqnx/tiny/fu 6/int 3/mem 2", "35d1092c337ee51f515364be913aa4c5");
+    ("eqnx/tiny/2-bit(10)", "7fbbb5f49dd8f0b78f1645bbb334ac83");
+    ("eqnx/tiny/predict-taken", "3674c235269421c5d27a5d7f410da87a");
+    ("espx/tiny/base", "ef582adeb3a8361ba1743be8d48c2d02");
+    ("espx/tiny/optimistic", "d11c7e0ba57721e1fd5c24ea15c26556");
+    ("espx/tiny/no renaming", "2ec4fd83f2ec472d66058501e3616c9d");
+    ("espx/tiny/regs+stack", "ef582adeb3a8361ba1743be8d48c2d02");
+    ("espx/tiny/window 64", "00e682ac4470615fbf413d1a2a567981");
+    ("espx/tiny/fu total 4", "2e8b1bef85b6bc0b89323d1802ea482a");
+    ("espx/tiny/fu 6/int 3/mem 2", "8b8b6f91408c14933b61d2d29157dfa6");
+    ("espx/tiny/2-bit(10)", "bf1693172a099434c30af00e3af81d08");
+    ("espx/tiny/predict-taken", "c6279395a1cb3794a2e6831ce223a4dc");
+    ("fpx/tiny/base", "7c405b06d0d1e84f252b9ca0fdef8931");
+    ("fpx/tiny/optimistic", "46fc73e6fa6ff25b76eef505c2e1060a");
+    ("fpx/tiny/no renaming", "006ab8ec3552212f9cfdb50def21cc8d");
+    ("fpx/tiny/regs+stack", "fd0569a4ac32ac67c9bab92dc706307e");
+    ("fpx/tiny/window 64", "4e383ebf940dee6561670203434b4b9b");
+    ("fpx/tiny/fu total 4", "7c0ce997a4794dc3507caa5c751f0865");
+    ("fpx/tiny/fu 6/int 3/mem 2", "b86b563fbbbcc903b6d71ea12e9a3266");
+    ("fpx/tiny/2-bit(10)", "f117cca74b4023a0145d779a67219c02");
+    ("fpx/tiny/predict-taken", "7bb9ba17e29006cba42142fe21f9c507");
+    ("mtxx/tiny/base", "e81296729a23b855834be897592dff09");
+    ("mtxx/tiny/optimistic", "c83149b2437c9c9e97887dfba9cafc56");
+    ("mtxx/tiny/no renaming", "ae75765ca88c8651ab666deaf217c9c6");
+    ("mtxx/tiny/regs+stack", "e81296729a23b855834be897592dff09");
+    ("mtxx/tiny/window 64", "9e8708fe8b95d45c1a6107f28dffd69b");
+    ("mtxx/tiny/fu total 4", "4eeeeab48476208b630ce79909f14a15");
+    ("mtxx/tiny/fu 6/int 3/mem 2", "3724f20c16b99bccd01ab0f5fc963deb");
+    ("mtxx/tiny/2-bit(10)", "a59c9733274225ccb8aee86dd6f063a8");
+    ("mtxx/tiny/predict-taken", "a59c9733274225ccb8aee86dd6f063a8");
+    ("naskx/tiny/base", "bcdae79f9bb233e5f39af924a02e8dc9");
+    ("naskx/tiny/optimistic", "009e2191f9c67cc9251afe3c8ada66cf");
+    ("naskx/tiny/no renaming", "889829193a199e7c3f620bab26833bf1");
+    ("naskx/tiny/regs+stack", "06949b74fce8328b4b7fa1502b6cb47c");
+    ("naskx/tiny/window 64", "52929565490e0896b2b91ef30b4da102");
+    ("naskx/tiny/fu total 4", "d5501c011e44ed3bdd0c099d24a631cc");
+    ("naskx/tiny/fu 6/int 3/mem 2", "7e9a863994e99e3658d4b5977e4ed737");
+    ("naskx/tiny/2-bit(10)", "5f669520f2f691aa7c629ad1a696f88c");
+    ("naskx/tiny/predict-taken", "5f669520f2f691aa7c629ad1a696f88c");
+    ("spicex/tiny/base", "34ba65315ab73d262a4335fe2f4f9a2c");
+    ("spicex/tiny/optimistic", "f97e3d16095ba000bf36fe9ad73a996b");
+    ("spicex/tiny/no renaming", "f9bde96a83fdfc52c92aa0cb8bf9ae95");
+    ("spicex/tiny/regs+stack", "34ba65315ab73d262a4335fe2f4f9a2c");
+    ("spicex/tiny/window 64", "11bbad783b5518756d10b87d16a70014");
+    ("spicex/tiny/fu total 4", "6c97004a41e6211f40187a5c19970482");
+    ("spicex/tiny/fu 6/int 3/mem 2", "cf0869440cae49a3a348dc8a4c6e3e62");
+    ("spicex/tiny/2-bit(10)", "fd20b5129eda0bf2b44e84600b600025");
+    ("spicex/tiny/predict-taken", "fd20b5129eda0bf2b44e84600b600025");
+    ("tomcx/tiny/base", "6d84d43f9c0ae3ba6eecdd8e3293cd7f");
+    ("tomcx/tiny/optimistic", "96036913d009c2ad3623570495daaa3b");
+    ("tomcx/tiny/no renaming", "e3ad16b449d66468c4ec8786dc55c6eb");
+    ("tomcx/tiny/regs+stack", "6d84d43f9c0ae3ba6eecdd8e3293cd7f");
+    ("tomcx/tiny/window 64", "72f4bce322e5eb6b769f050552c2ad19");
+    ("tomcx/tiny/fu total 4", "fc0824252f515be57b605d064760d804");
+    ("tomcx/tiny/fu 6/int 3/mem 2", "068b28b0056a36947771063f49c2e20e");
+    ("tomcx/tiny/2-bit(10)", "5b21077fa4dfbe876cf89eec9543a5c4");
+    ("tomcx/tiny/predict-taken", "5b21077fa4dfbe876cf89eec9543a5c4");
+    ("xlispx/tiny/base", "55c664c17aeedc35361e59c3b39e5c4b");
+    ("xlispx/tiny/optimistic", "42a20f2efc1441d51425fd8b67178beb");
+    ("xlispx/tiny/no renaming", "9425067fad67fe38610db828163335a7");
+    ("xlispx/tiny/regs+stack", "01075dc32cb8956bce7b389cdadd4bf4");
+    ("xlispx/tiny/window 64", "a27d345f018e3f719ca6c4894710bb07");
+    ("xlispx/tiny/fu total 4", "f877e972665e6567c85925e91600d62b");
+    ("xlispx/tiny/fu 6/int 3/mem 2", "a14b58b2ddb4b7a474166a4ef546c6cf");
+    ("xlispx/tiny/2-bit(10)", "f01a0edb96e7291ee598fcefd3ce3d37");
+    ("xlispx/tiny/predict-taken", "5ef52f6a01ef8f594608d1bb553948b4");
+    ("cc1x/default/base", "5a5dd8eaca4d4129deddcd4b5d58a1ea");
+    ("cc1x/default/window 64", "61e63ec2fe920b8b1f7f76ceeedb0696") ]
+
+let test_recorded_digests () =
+  let digest s = Digest.to_hex (Digest.string (Stats_codec.to_string s)) in
+  let check_cells ~record (w : Ddg_workloads.Workload.t) size names =
+    let _, trace = Ddg_workloads.Workload.trace w size in
+    let cells = List.map (fun n -> (n, List.assoc n digest_configs)) names in
+    let path = Filename.temp_file "ddg_digests" ".trace" in
+    Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+    Trace_io.write_file_flat path trace;
+    let mapped = Trace_io.map_file path in
+    let fused = Analyzer.analyze_many (List.map snd cells) trace in
+    List.iter2
+      (fun (name, config) fused ->
+        let cell =
+          Printf.sprintf "%s/%s/%s" w.name
+            (Ddg_workloads.Workload.size_to_string size)
+            name
+        in
+        let expect =
+          match List.assoc_opt cell recorded_digests with
+          | Some d -> d
+          | None -> Alcotest.failf "%s: no recorded digest" cell
+        in
+        let check what s =
+          Alcotest.(check string) (cell ^ " " ^ what) expect (digest s)
+        in
+        check "analyze" (Analyzer.analyze config trace);
+        check "analyze (mapped)" (Analyzer.analyze config mapped);
+        check "analyze_many" fused;
+        check "analyze_stream" (Analyzer.analyze_stream config path);
+        if record then begin
+          let t = Analyzer.create config in
+          Trace.iter (Analyzer.feed t) trace;
+          check "record events" (Analyzer.finish t)
+        end)
+      cells fused
+  in
+  List.iter
+    (fun w ->
+      check_cells ~record:true w Ddg_workloads.Workload.Tiny
+        (List.map fst digest_configs))
+    Ddg_workloads.Registry.all;
+  check_cells ~record:false
+    (Option.get (Ddg_workloads.Registry.find "cc1x"))
+    Ddg_workloads.Workload.Default [ "base"; "window 64" ]
+
 let tests =
   [ Alcotest.test_case "figure 1: dataflow DDG" `Quick test_figure1;
     Alcotest.test_case "figure 2 renamed = figure 1" `Quick
@@ -490,4 +654,6 @@ let tests =
     Alcotest.test_case "mispredicts deepen" `Quick
       test_branch_mispredicts_deepen;
     Alcotest.test_case "2-bit predictor learns" `Quick test_two_bit_learns;
-    Alcotest.test_case "config describe" `Quick test_describe ]
+    Alcotest.test_case "config describe" `Quick test_describe;
+    Alcotest.test_case "stats bytes match the recorded digests" `Quick
+      test_recorded_digests ]

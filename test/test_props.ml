@@ -254,46 +254,6 @@ let stats_equal (a : Analyzer.stats) (b : Analyzer.stats) =
   && Dist.buckets a.lifetimes = Dist.buckets b.lifetimes
   && Dist.buckets a.sharing = Dist.buckets b.sharing
 
-(* The segmented driver must be indistinguishable from the sequential
-   engine. Two angles: on supporting configurations (full renaming, no
-   window/FU cap, perfect prediction — both syscall policies) the stats
-   must match bit-for-bit at every segment count; on arbitrary
-   configurations the driver must either segment exactly or provably
-   take the sequential fallback (the executor is never invoked and the
-   reported segment count is 1). *)
-let prop_segmented_exact_supported =
-  QCheck.Test.make ~name:"segmented equals sequential (supported configs)"
-    ~count:150 arb_trace (fun events ->
-      let trace = Trace.of_list events in
-      List.for_all
-        (fun config ->
-          let seq = Analyzer.analyze config trace in
-          List.for_all
-            (fun k -> stats_equal seq (Segmented.analyze ~segments:k config trace))
-            [ 1; 2; 3; 7; 16 ])
-        [ Config.default; Config.dataflow ])
-
-let prop_segmented_exact_or_fallback =
-  QCheck.Test.make ~name:"segmented equals sequential or falls back (all switches)"
-    ~count:150 arb_trace_and_config (fun (events, config) ->
-      let trace = Trace.of_list events in
-      let seq = Analyzer.analyze config trace in
-      List.for_all
-        (fun k ->
-          let calls = ref 0 in
-          let exec thunks =
-            incr calls;
-            Array.iter (fun f -> f ()) thunks
-          in
-          let stats, used = Segmented.analyze_ext ~exec ~segments:k config trace in
-          let k_eff = min k (Trace.length trace) in
-          let expect_segmented = Segmented.supported config && k_eff > 1 in
-          stats_equal seq stats
-          &&
-          if expect_segmented then used = k_eff && !calls = 1
-          else used = 1 && !calls = 0)
-        [ 1; 2; 3; 7; 16 ])
-
 let prop_trace_roundtrip =
   QCheck.Test.make ~name:"packed trace roundtrips events" ~count:300
     arb_trace (fun events -> Trace.to_list (Trace.of_list events) = events)
@@ -488,8 +448,6 @@ let tests =
       prop_trace_roundtrip;
       prop_packed_equals_record;
       prop_analyze_many_equals_map;
-      prop_segmented_exact_supported;
-      prop_segmented_exact_or_fallback;
       prop_partition_sharing_conserves;
       prop_two_pass_equivalent;
       prop_intervals_match_add_range;

@@ -115,7 +115,15 @@ let test_json () =
   (* pretty output parses back structurally: cheap sanity *)
   let pretty = to_string (Obj [ ("k", List [ Int 1; Int 2 ]) ]) in
   Alcotest.(check bool) "pretty has newlines" true
-    (String.contains pretty '\n')
+    (String.contains pretty '\n');
+  (* a repeated key, even nested, is refused rather than emitted *)
+  List.iter
+    (fun (what, v) ->
+      match to_string v with
+      | s -> Alcotest.failf "%s: emitted %s" what s
+      | exception Invalid_argument _ -> ())
+    [ ("top level", Obj [ ("a", Int 1); ("b", Int 2); ("a", Int 3) ]);
+      ("nested", List [ Obj [ ("k", Obj [ ("x", Null); ("x", Null) ]) ] ]) ]
 
 let tests =
   [ Alcotest.test_case "int cells" `Quick test_int_cell;

@@ -171,8 +171,6 @@ let test_entry_points_reject () =
           ignore (Analyzer.analyze config trace));
       expect_invalid name "Analyzer.analyze_many" (fun () ->
           ignore (Analyzer.analyze_many [ Config.default; config ] trace));
-      expect_invalid name "Segmented.analyze" (fun () ->
-          ignore (Segmented.analyze ~segments:4 config trace));
       expect_invalid name "Ddg.build" (fun () ->
           ignore (Ddg.build config trace)))
     bad_configs;

@@ -1,7 +1,7 @@
 (* The zero-copy flat trace format (DDGTRC03), differentially fuzzed:
    random traces must survive write → mmap → read unchanged and agree
    byte-for-byte with the legacy v1/v2 codec under every consumer
-   (in-memory, mapped, streamed, segmented, advisor); corrupt or
+   (in-memory, mapped, streamed, advisor); corrupt or
    truncated files must fail with the typed error, never a crash; the
    store must quarantine corrupt flat artifacts while live mapped views
    survive concurrent fsck; and the streaming path must hold its
@@ -12,7 +12,6 @@ module Trace = Ddg_sim.Trace
 module Trace_io = Ddg_sim.Trace_io
 module Analyzer = Ddg_paragraph.Analyzer
 module Config = Ddg_paragraph.Config
-module Segmented = Ddg_paragraph.Segmented
 module Stats_codec = Ddg_paragraph.Stats_codec
 module Advise = Ddg_advise.Advise
 module Advise_codec = Ddg_advise.Advise_codec
@@ -202,8 +201,6 @@ let prop_conversion_equivalence =
               let from_legacy = Trace_io.read_file legacy in
               equal_traces from_legacy (Trace_io.map_file flat))))
 
-let segment_counts = [ 1; 2; 7 ]
-
 let prop_analysis_byte_identity =
   QCheck.Test.make
     ~name:"analyze/advise byte-identical across v1/v2/v3 × segments"
@@ -220,12 +217,7 @@ let prop_analysis_byte_identity =
               let stats_ok =
                 List.for_all
                   (fun tr ->
-                    List.for_all
-                      (fun k ->
-                        Stats_codec.to_string
-                          (Segmented.analyze ~segments:k cfg tr)
-                        = s_ref)
-                      segment_counts)
+                    Stats_codec.to_string (Analyzer.analyze cfg tr) = s_ref)
                   [ from_legacy; mapped ]
                 && Stats_codec.to_string
                      (Analyzer.analyze_stream ~verify:false cfg flat)
