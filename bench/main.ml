@@ -207,7 +207,6 @@ let microbenchmarks () =
   let _, trace = Ddg_workloads.Workload.trace w Ddg_workloads.Workload.Tiny in
   assert_marks_are_opt_in trace;
   let events = Ddg_sim.Trace.length trace in
-  let record_events = Ddg_sim.Trace.to_list trace in
   let program =
     Ddg_workloads.Workload.program w Ddg_workloads.Workload.Tiny
   in
@@ -234,13 +233,6 @@ let microbenchmarks () =
            (Ddg_paragraph.Analyzer.analyze
               Ddg_paragraph.Config.(with_window (Some 100) default)
               trace));
-      ("feed record events (construction path)", 1,
-       fun () ->
-         let t =
-           Ddg_paragraph.Analyzer.create Ddg_paragraph.Config.default
-         in
-         List.iter (Ddg_paragraph.Analyzer.feed t) record_events;
-         ignore (Ddg_paragraph.Analyzer.finish t));
       (fused_name, nconfigs,
        fun () ->
          ignore (Ddg_paragraph.Analyzer.analyze_many fused_configs trace));
@@ -382,11 +374,19 @@ let run_cache_bench ~size ~workers =
     (fun () ->
       Printf.eprintf "cache-bench: cold prefetch, -j 1\n%!";
       let cold_j1, _, _, njobs = prefetch_with ~dir:dir1 ~workers:1 in
-      Printf.eprintf "cache-bench: cold prefetch, -j %d\n%!" workers;
-      let cold_jn, _, _, _ = prefetch_with ~dir:dirn ~workers in
+      (* at -j 1 the cold -j N run would repeat the one just made: the
+         warm pass reads the -j 1 store instead *)
+      let cold_jn, warm_dir =
+        if workers = 1 then (cold_j1, dir1)
+        else begin
+          Printf.eprintf "cache-bench: cold prefetch, -j %d\n%!" workers;
+          let cold_jn, _, _, _ = prefetch_with ~dir:dirn ~workers in
+          (cold_jn, dirn)
+        end
+      in
       Printf.eprintf "cache-bench: warm prefetch against the -j %d store\n%!"
         workers;
-      let warm, tr, an, _ = prefetch_with ~dir:dirn ~workers in
+      let warm, tr, an, _ = prefetch_with ~dir:warm_dir ~workers in
       if tr > 0 || an > 0 then begin
         Printf.eprintf
           "cache-bench: warm run recomputed (%d simulations, %d fused \
@@ -395,9 +395,12 @@ let run_cache_bench ~size ~workers =
         exit 1
       end;
       Printf.printf
-        "cache bench (%d suite jobs): cold -j1 %.2fs, cold -j%d %.2fs, warm \
-         %.2fs (warm is cache-hot, %.1fx over cold -j1)\n"
-        njobs cold_j1 workers cold_jn warm
+        "cache bench (%d suite jobs): cold -j1 %.2fs%s, warm %.2fs (warm is \
+         cache-hot, %.1fx over cold -j1)\n"
+        njobs cold_j1
+        (if workers > 1 then Printf.sprintf ", cold -j%d %.2fs" workers cold_jn
+         else "")
+        warm
         (if warm > 0.0 then cold_j1 /. warm else 0.0);
       { cb_workers = workers; cb_suite_jobs = njobs; cb_cold_j1 = cold_j1;
         cb_cold_jn = cold_jn; cb_warm = warm })

@@ -1,13 +1,15 @@
-(** The streaming DDG analyzer — the Paragraph placement engine.
+(** The Paragraph placement engine.
 
-    Consumes a serial execution trace one event at a time and maintains
-    the live well, the firewall state ([highestLevel],
-    [deepestLevelYetUsed]), the instruction window, optional resource
-    pools and branch predictor, the parallelism profile and the
-    value-lifetime / degree-of-sharing distributions. Memory use is
-    bounded by the live-value working set, never by trace length, so
-    arbitrarily long traces can be analyzed online (the paper's
-    single-forward-pass mode).
+    One kernel places every operation: it is fed row ranges of packed
+    trace columns and maintains the live well, the firewall state
+    ([highestLevel], [deepestLevelYetUsed]), the instruction window,
+    optional resource pools and branch predictor, the parallelism profile
+    and the value-lifetime / degree-of-sharing distributions. Its live
+    well is a flat array indexed by the trace's dense location ids, so
+    memory is bounded by the number of distinct locations, never by
+    trace length: {!analyze_stream} analyzes arbitrarily long traces from
+    disk in one forward pass (the paper's single-forward-pass mode), and
+    {!Two_pass} evicts dead locations as it goes.
 
     Placement semantics (validated against the paper's worked examples —
     Figure 1: critical path 4, profile 4,2,1,1; Figure 2: critical path 6,
@@ -52,45 +54,69 @@ type stats = {
   mispredicts : int;      (** 0 under perfect branch handling *)
 }
 
+(** {1 The kernel state}
+
+    [analyze], [analyze_stream] and {!Two_pass} are built from these
+    functions. *)
+
 type t
+(** One configuration's analyzer state over a trace's location ids. *)
 
-val create : Config.t -> t
-(** @raise Invalid_argument when {!Config.validate} rejects the
-    configuration, as does every [analyze] entry point below. *)
+val create : Config.t -> num_locs:int -> classes:Bytes.t -> t
+(** A state for location ids [0 .. num_locs - 1]; byte [id] of [classes]
+    is the {!Ddg_isa.Loc.storage_class_tag} of location [id], as in
+    {!Ddg_sim.Trace.storage_classes}.
+    @raise Invalid_argument when {!Config.validate} rejects the
+    configuration, as does every [analyze] entry point below, or when
+    [classes] is shorter than [num_locs]. *)
 
-val feed : t -> Ddg_sim.Trace.event -> unit
+val feed :
+  t ->
+  Ddg_sim.Trace.columns ->
+  extra:(int -> int array) ->
+  lo:int ->
+  hi:int ->
+  unit
+(** Place rows [lo .. hi - 1] of the columns, in order. [extra i] gives
+    the fourth and later sources of row [i] when its flags carry
+    {!Ddg_sim.Trace.flags_extra} (as {!Ddg_sim.Trace.extra_srcs} does).
+    Every operand id must be below the state's [num_locs]: the packed
+    trace and the flat-file readers guarantee it.
+    @raise Invalid_argument unless [0 <= lo <= hi <= n]. *)
 
-val evict : t -> Ddg_isa.Loc.t -> unit
-(** Drop a location from the live well, retiring its computed value into
-    the statistics. Only sound when the location is never referenced
+val evict : t -> int -> unit
+(** Drop a location id from the live well, retiring its computed value
+    into the statistics. Only sound when the location is never referenced
     again in the trace — the two-pass mode ({!Two_pass}) establishes that
-    with its reverse pass. *)
+    with its reverse pass.
+    @raise Invalid_argument when the id is not below [num_locs]. *)
 
-val live_well_size : t -> int
+val live_locations : t -> int
 (** Current live-well occupancy (distinct locations held). *)
 
 val finish : t -> stats
 (** Retire remaining live values into the distributions and report. The
-    analyzer must not be fed after [finish]. *)
+    state must not be fed after [finish]. *)
+
+(** {1 Whole-trace analyses} *)
 
 val analyze : Config.t -> Ddg_sim.Trace.t -> stats
-(** One pass over the packed (or mapped) trace columns, by the kernel
-    {!analyze_many} runs, here with a single state: the live well is a
-    flat array indexed by the trace's dense location ids, so the hot
-    loop hashes nothing and allocates nothing per event. The stats equal
-    those of [create] + [feed] each event + [finish] — the hashed record
-    path, which is the reference this kernel is checked against — and of
-    {!analyze_stream} over the same trace written flat. *)
+(** [create], then [feed] the whole packed (or mapped) trace, then
+    [finish]: one pass over the columns that hashes nothing and
+    allocates nothing per event. The stats equal those of
+    {!analyze_stream} over the same trace written flat, and of the
+    reference interpreter the test suite transcribes from DESIGN.md
+    §6.0. *)
 
 val analyze_stream :
   ?verify:bool -> ?window:int -> Config.t -> string -> stats
-(** Stream a {e flat} (v3) trace file through the analyzer in bounded
+(** Stream a {e flat} (v3) trace file through the kernel in bounded
     memory via {!Ddg_sim.Trace_io.stream_file}: columns are read through
-    fixed [window]-row buffers, never mapped and never materialised, so
-    peak resident memory is the live-value working set plus the windows
-    — independent of trace size. Agrees exactly with {!analyze} of the
-    mapped trace. [verify] is the digest pass (default [true];
-    structural validation always runs).
+    fixed [window]-row buffers, never mapped and never materialised, and
+    each window is fed as one row range, so peak resident memory is the
+    live well plus the windows — independent of trace size. Agrees
+    exactly with {!analyze} of the mapped trace. [verify] is the digest
+    pass (default [true]; structural validation always runs).
     @raise Ddg_sim.Trace_io.Corrupt on malformed input. *)
 
 val analyze_many :

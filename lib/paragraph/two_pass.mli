@@ -10,15 +10,17 @@
     The reverse pass marks, for every event, which of its location
     references (sources and destination) are the {e final} reference to
     that location in the whole trace. The forward pass is the ordinary
-    analysis, except that the live well evicts a location immediately
-    after its final reference — so its working set tracks the number of
-    locations with future references rather than every location ever
-    touched (the paper's single-forward-pass mode needed 32 MBytes for
-    exactly this reason).
+    analysis — the {!Analyzer} kernel, fed one row at a time — except
+    that after each row it evicts ({!Analyzer.evict}) the locations the
+    row referenced for the last time, so its working set tracks the
+    number of locations with future references rather than every
+    location ever touched (the paper's single-forward-pass mode needed
+    32 MBytes for exactly this reason).
 
     Results are identical to {!Analyzer.analyze} except for the
-    [live_locations] field, which here reports the {e peak} live-well
-    occupancy; the suite property-checks the equivalence. *)
+    [live_locations] field, which is 0 here (everything has been
+    evicted); the {e peak} live-well occupancy is returned beside the
+    stats. The suite checks the equivalence by canonical bytes. *)
 
 (** Per-event finality annotations from the reverse pass. *)
 type annotations

@@ -756,8 +756,10 @@ type flat_info = {
 (* Read-windows (not mmap) on purpose: pages touched through a mapping
    count against the process's resident set, which would defeat the
    peak-RSS bound this reader exists to honour. Six channels advance in
-   lockstep, one per column, [window] rows at a time. *)
-let stream_file ?(verify = true) ?(pos = 0) ?(window = 65536) path ~init ~row
+   lockstep, one per column, [window] rows at a time; each window is
+   validated, decoded into window-sized columns reused for the next
+   window, and handed to [rows] whole. *)
+let stream_file ?(verify = true) ?(pos = 0) ?(window = 65536) path ~init ~rows
     =
   if window < 1 then invalid_arg "Trace_io.stream_file: window";
   let ic = open_in_bin path in
@@ -795,6 +797,12 @@ let stream_file ?(verify = true) ?(pos = 0) ?(window = 65536) path ~init ~row
           let b0 = Bytes.create (8 * window) in
           let b1 = Bytes.create (8 * window) in
           let b2 = Bytes.create (8 * window) in
+          let cols =
+            { Trace.n = 0; flags = heap_byte_col window;
+              pcs = heap_int_col window; dsts = heap_int_col window;
+              src0 = heap_int_col window; src1 = heap_int_col window;
+              src2 = heap_int_col window }
+          in
           let nlocs = lay.l_locs in
           let nbit7 = ref 0 in
           let consumed = ref 0 in
@@ -835,18 +843,25 @@ let stream_file ?(verify = true) ?(pos = 0) ?(window = 65536) path ~init ~row
               check_src s0;
               check_src s1;
               check_src s2;
-              let extra =
-                if f land Trace.flags_extra <> 0 then begin
-                  incr nbit7;
-                  match Hashtbl.find_opt extra_tbl i with
-                  | Some ids -> ids
-                  | None ->
-                      corrupt "row %d: extra bit with no overflow row" i
-                end
-                else [||]
-              in
-              acc := row !acc ~flags:f ~pc ~d ~s0 ~s1 ~s2 ~extra
+              if f land Trace.flags_extra <> 0 then begin
+                incr nbit7;
+                if not (Hashtbl.mem extra_tbl i) then
+                  corrupt "row %d: extra bit with no overflow row" i
+              end;
+              BA1.unsafe_set cols.flags k (Bytes.unsafe_get bf k);
+              BA1.unsafe_set cols.pcs k pc;
+              BA1.unsafe_set cols.dsts k d;
+              BA1.unsafe_set cols.src0 k s0;
+              BA1.unsafe_set cols.src1 k s1;
+              BA1.unsafe_set cols.src2 k s2
             done;
+            let base = !consumed in
+            let extra k =
+              match Hashtbl.find_opt extra_tbl (base + k) with
+              | Some ids -> ids
+              | None -> [||]
+            in
+            acc := rows !acc { cols with n = w } ~extra;
             consumed := !consumed + w
           done;
           if !nbit7 <> Hashtbl.length extra_tbl then

@@ -104,25 +104,20 @@ val stream_file :
   ?window:int ->
   string ->
   init:(flat_info -> 'a) ->
-  row:
-    ('a ->
-    flags:int ->
-    pc:int ->
-    d:int ->
-    s0:int ->
-    s1:int ->
-    s2:int ->
-    extra:int array ->
-    'a) ->
+  rows:('a -> Trace.columns -> extra:(int -> int array) -> 'a) ->
   'a
-(** Fold over the rows of a flat trace file in bounded memory: columns
-    are read through fixed [window]-row buffers (default 65536), never
-    mapped and never materialised, so peak resident memory is
-    [O(window + locations)] regardless of trace size. Rows arrive
-    structurally validated, exactly as {!map_file} would hand them to
-    the analyzer ([d]/[s*] are location ids, [-1] when absent; [extra]
-    holds sources four onward). Marks are not replayed — callers that
-    need them read tiny sidecars via {!map_file} semantics instead.
+(** Fold over a flat trace file in bounded memory, one read window at a
+    time: columns are read through fixed [window]-row buffers (default
+    65536), never mapped and never materialised, so peak resident memory
+    is [O(window + locations)] regardless of trace size. Each window
+    arrives as a {!Trace.columns} value of [n <= window] rows over
+    window-sized Bigarrays (valid only until [rows] returns; the next
+    window reuses them), structurally validated exactly as {!map_file}
+    would hand them to the analyzer: operand columns hold location ids,
+    [-1] when absent, and [extra k] gives the fourth and later sources
+    of the window's row [k] when its flags carry {!Trace.flags_extra}.
+    Marks are not replayed — callers that need them read tiny sidecars
+    via {!map_file} semantics instead.
     @raise Corrupt *)
 
 (** {2 Streaming flat writer}

@@ -21,8 +21,7 @@ let find_misses =
 
 type t = {
   root : string;
-  lock : Mutex.t;          (* serialises temp-name allocation + manifest *)
-  mutable counter : int;   (* uniquifies temp and quarantine names *)
+  lock : Mutex.t;          (* serialises the manifest and quarantines *)
   mutable quarantines : int;  (* artifacts moved aside since open_ *)
 }
 
@@ -106,7 +105,7 @@ let open_ ?dir () =
   let root = match dir with Some d -> d | None -> default_dir () in
   mkdir_p root;
   mkdir_p (Filename.concat root "quarantine");
-  { root; lock = Mutex.create (); counter = 0; quarantines = 0 }
+  { root; lock = Mutex.create (); quarantines = 0 }
 
 let dir t = t.root
 
@@ -121,16 +120,12 @@ let artifact_path t ~kind ~key =
     (Printf.sprintf "%s-%s.art" kind
        (Digest.to_hex (Digest.string (kind ^ "\x00" ^ key))))
 
-let next_id_locked t =
-  let c = t.counter in
-  t.counter <- c + 1;
-  c
+(* Uniquifies temp and quarantine names. Process-wide, not per handle:
+   two handles on one directory in one process share the pid prefix, so
+   per-handle counters would hand both the same names. *)
+let names = Atomic.make 0
 
-let next_id t =
-  Mutex.lock t.lock;
-  let c = next_id_locked t in
-  Mutex.unlock t.lock;
-  c
+let next_id () = Atomic.fetch_and_add names 1
 
 (* Flushing an out_channel hands the bytes to the kernel, not the disk:
    without an fsync a crash after the rename can leave a manifest entry
@@ -152,7 +147,7 @@ let fsync_dir dir =
 
 let temp_name t suffix =
   Filename.concat t.root
-    (Printf.sprintf "tmp.%d.%d.%s" (Unix.getpid ()) (next_id t) suffix)
+    (Printf.sprintf "tmp.%d.%d.%s" (Unix.getpid ()) (next_id ()) suffix)
 
 (* --- artifact headers ------------------------------------------------------ *)
 
@@ -336,7 +331,7 @@ let quarantine_move_locked t path reason =
     let dest =
       Filename.concat (quarantine_dir t)
         (Printf.sprintf "%s.%d.%d" (Filename.basename path) (Unix.getpid ())
-           (next_id_locked t))
+           (next_id ()))
     in
     Sys.rename path dest;
     t.quarantines <- t.quarantines + 1;

@@ -153,9 +153,9 @@ let prop_traces_analyzable =
       && stats.critical_path >= 1
       && none.critical_path >= stats.critical_path)
 
-(* Real compiled traces (not just synthetic events) down the three
-   analysis paths: packed columns, record events, and the fused
-   multi-config engine must agree exactly. *)
+(* Real compiled traces (not just synthetic events) down the kernel at
+   one and at several configurations, against the reference
+   interpreter's canonical bytes. *)
 let fuzz_configs =
   Ddg_paragraph.Config.
     [ default; dataflow;
@@ -182,12 +182,11 @@ let prop_compiled_paths_agree =
         && a.available_parallelism = b.available_parallelism
         && a.live_locations = b.live_locations
       in
+      let bytes = Ddg_paragraph.Stats_codec.to_string in
       List.for_all2 agree seq fused
       && List.for_all2
-           (fun config (packed : Ddg_paragraph.Analyzer.stats) ->
-             let t = Ddg_paragraph.Analyzer.create config in
-             List.iter (Ddg_paragraph.Analyzer.feed t) events;
-             agree packed (Ddg_paragraph.Analyzer.finish t))
+           (fun config packed ->
+             bytes packed = bytes (Reference.analyze config events))
            fuzz_configs seq)
 
 let prop_unrolled_trace_not_longer_dynamically =

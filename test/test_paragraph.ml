@@ -376,6 +376,24 @@ let test_two_pass_matches_figure1 () =
   check_int "empty live well at end" 0 stats.live_locations;
   Alcotest.(check bool) "peak below total locations" true (peak <= 10)
 
+(* The peak live-well occupancy of the two-pass mode under the default
+   configuration, recorded from the hashed engine the kernel replaced:
+   evicting after each row's final references must keep exactly the
+   locations the old well kept. *)
+let recorded_two_pass_peaks =
+  [ ("cc1x", 218); ("doducx", 173); ("eqnx", 403); ("espx", 90); ("fpx", 95);
+    ("mtxx", 156); ("naskx", 206); ("spicex", 493); ("tomcx", 351);
+    ("xlispx", 72) ]
+
+let test_two_pass_peaks () =
+  List.iter
+    (fun (w : Ddg_workloads.Workload.t) ->
+      let _, trace = Ddg_workloads.Workload.trace w Ddg_workloads.Workload.Tiny in
+      let _, peak = Two_pass.analyze Config.default trace in
+      check_int (w.name ^ " peak") (List.assoc w.name recorded_two_pass_peaks)
+        peak)
+    Ddg_workloads.Registry.all
+
 let test_two_pass_annotations () =
   (* in "li t0; add t1, t0, t0; halt": the add's sources are t0's final
      references, and both destinations are final *)
@@ -446,12 +464,13 @@ let test_describe () =
 (* --- recorded stats digests ---------------------------------------------------
 
    The MD5 of the canonical Stats_codec bytes of every (workload, config)
-   cell, recorded from the hashed single-config engine. Every analysis
-   path must reproduce them byte for byte: the kernel at width 1
-   ([analyze], over both the built and the mapped trace), the fused
-   kernel over the whole config list, the streamed flat file, and at
-   tiny size the record-event path. cc1x at default size spans ~65k
-   levels, so profile bucket coalescing is pinned too. *)
+   cell, recorded from the hashed single-config engine the kernel
+   replaced. Every analysis path must reproduce them byte for byte: the
+   kernel at width 1 ([analyze], over both the built and the mapped
+   trace), the fused kernel over the whole config list, the streamed
+   flat file, and at tiny size the reference interpreter
+   ([Reference]). cc1x at default size spans ~65k levels, so profile
+   bucket coalescing is pinned too. *)
 
 let digest_configs =
   let fu l = Config.with_fu l Config.default in
@@ -591,11 +610,8 @@ let test_recorded_digests () =
         check "analyze (mapped)" (Analyzer.analyze config mapped);
         check "analyze_many" fused;
         check "analyze_stream" (Analyzer.analyze_stream config path);
-        if record then begin
-          let t = Analyzer.create config in
-          Trace.iter (Analyzer.feed t) trace;
-          check "record events" (Analyzer.finish t)
-        end)
+        if record then
+          check "reference" (Reference.analyze config (Trace.to_list trace)))
       cells fused
   in
   List.iter
@@ -646,6 +662,8 @@ let tests =
       test_two_pass_matches_figure1;
     Alcotest.test_case "two-pass annotations" `Quick
       test_two_pass_annotations;
+    Alcotest.test_case "two-pass peaks match the recorded values" `Quick
+      test_two_pass_peaks;
     Alcotest.test_case "storage profile" `Quick test_storage_profile;
     Alcotest.test_case "storage profile long-lived" `Quick
       test_storage_profile_long_lived;

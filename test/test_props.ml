@@ -227,20 +227,18 @@ let prop_parallelism_at_most_ops =
       stats.available_parallelism >= 0.0
       && stats.available_parallelism <= float_of_int (max 1 stats.placed_ops))
 
+(* Canonical bytes: every engine must agree with the reference
+   interpreter to the last bucket. *)
+let bytes = Stats_codec.to_string
+
 let prop_feed_incremental =
   QCheck.Test.make ~name:"feed/finish equals analyze" ~count:100 arb_trace
     (fun events ->
-      let trace = Trace.of_list events in
-      let direct = Analyzer.analyze Config.default trace in
-      let t = Analyzer.create Config.default in
-      List.iter (Analyzer.feed t) events;
-      let inc = Analyzer.finish t in
-      direct.critical_path = inc.critical_path
-      && direct.placed_ops = inc.placed_ops
-      && direct.available_parallelism = inc.available_parallelism)
+      bytes (Analyzer.analyze Config.default (Trace.of_list events))
+      = bytes (Reference.analyze Config.default events))
 
 (* Full-stats equality, for the equivalence properties between the
-   packed, record-event and fused analysis paths. *)
+   kernel's entry points. *)
 let stats_equal (a : Analyzer.stats) (b : Analyzer.stats) =
   a.events = b.events
   && a.placed_ops = b.placed_ops
@@ -258,14 +256,35 @@ let prop_trace_roundtrip =
   QCheck.Test.make ~name:"packed trace roundtrips events" ~count:300
     arb_trace (fun events -> Trace.to_list (Trace.of_list events) = events)
 
+(* Every engine against the reference interpreter, by canonical bytes:
+   the kernel over the built and the mapped trace, the streamed file
+   read in windows of 1-8 rows (so windows split the trace anywhere),
+   the fused kernel beside the default configuration, and the two-pass
+   mode (whose [live_locations] is its final, empty well). *)
 let prop_packed_equals_record =
   QCheck.Test.make ~name:"packed path equals record path (all switches)"
-    ~count:300 arb_trace_and_config (fun (events, config) ->
+    ~count:300
+    (QCheck.make
+       QCheck.Gen.(triple gen_trace gen_config (int_range 1 8))
+       ~print:(fun (es, c, rows) ->
+         Printf.sprintf "%s\nread window %d\n%s" (Config.describe c) rows
+           (String.concat "\n" (List.map print_event es))))
+    (fun (events, config, read_window) ->
       let trace = Trace.of_list events in
-      let packed = Analyzer.analyze config trace in
-      let t = Analyzer.create config in
-      List.iter (Analyzer.feed t) events;
-      stats_equal packed (Analyzer.finish t))
+      let reference = Reference.analyze config events in
+      let expect = bytes reference in
+      let path = Filename.temp_file "ddg_prop" ".trace" in
+      Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+      Trace_io.write_file_flat path trace;
+      let two, _ = Two_pass.analyze config trace in
+      bytes (Analyzer.analyze config trace) = expect
+      && bytes (Analyzer.analyze config (Trace_io.map_file path)) = expect
+      && bytes (Analyzer.analyze_stream ~window:read_window config path)
+         = expect
+      && bytes (List.hd (Analyzer.analyze_many [ config; Config.default ] trace))
+         = expect
+      && bytes { two with live_locations = reference.live_locations }
+         = expect)
 
 let prop_analyze_many_equals_map =
   QCheck.Test.make ~name:"analyze_many equals map analyze" ~count:100

@@ -5,42 +5,8 @@
 open Ddg_paragraph
 open Ddg_isa
 
-(* The placement rule read straight off DESIGN.md §6.0: an operation
-   ready at [ready] issues at the least level >= [ready] at which every
-   pool it draws from (the total pool and its class pool, whichever are
-   limited) has used < capacity, found by a linear scan. *)
-module Oracle = struct
-  type t = { limits : Config.fu_limits; used : (string * int, int) Hashtbl.t }
-
-  let create limits = { limits; used = Hashtbl.create 64 }
-
-  let pools t (cls : Opclass.t) =
-    let own =
-      match cls with
-      | Int_alu | Int_multiply | Int_divide -> ("int", t.limits.int_units)
-      | Fp_add_sub | Fp_multiply | Fp_divide -> ("fp", t.limits.fp_units)
-      | Load_store -> ("mem", t.limits.mem_units)
-      | Syscall | Control -> ("none", None)
-    in
-    List.filter_map
-      (fun (name, limit) -> Option.map (fun cap -> (name, cap)) limit)
-      [ ("total", t.limits.total); own ]
-
-  let used t name level =
-    Option.value ~default:0 (Hashtbl.find_opt t.used (name, level))
-
-  let place t cls ready =
-    let pools = pools t cls in
-    let room level =
-      List.for_all (fun (n, cap) -> used t n level < cap) pools
-    in
-    let level = ref ready in
-    while not (room !level) do incr level done;
-    List.iter
-      (fun (n, _) -> Hashtbl.replace t.used (n, !level) (used t n !level + 1))
-      pools;
-    !level
-end
+(* the linear-scan transcription of DESIGN.md §6.0's resource rule *)
+module Oracle = Reference.Oracle
 
 let gen_limits =
   let open QCheck.Gen in
@@ -163,10 +129,15 @@ let test_entry_points_reject () =
       (Option.get (Ddg_workloads.Registry.find "mtxx"))
       Ddg_workloads.Workload.Tiny
   in
+  let path = Filename.temp_file "ddg_rejects" ".trace" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  Ddg_sim.Trace_io.write_file_flat path trace;
   List.iter
     (fun (name, config) ->
-      expect_invalid name "Analyzer.create" (fun () ->
-          ignore (Analyzer.create config));
+      expect_invalid name "Analyzer.analyze_stream" (fun () ->
+          ignore (Analyzer.analyze_stream config path));
+      expect_invalid name "Two_pass.analyze" (fun () ->
+          ignore (Two_pass.analyze config trace));
       expect_invalid name "Analyzer.analyze" (fun () ->
           ignore (Analyzer.analyze config trace));
       expect_invalid name "Analyzer.analyze_many" (fun () ->

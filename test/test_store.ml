@@ -476,6 +476,24 @@ let test_racing_recovery_converges () =
       Alcotest.(check int) "no corrupt artifacts remain" 0
         report.Store.quarantined)
 
+(* Temp names are numbered per process, not per handle: a put through
+   one handle nested inside another handle's put on the same directory
+   must not reuse (and on cleanup delete) the outer put's payload. *)
+let test_handles_never_share_temp_names () =
+  let dir = fresh_dir () in
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists dir then rm_rf dir)
+    (fun () ->
+      let a = Store.open_ ~dir () and b = Store.open_ ~dir () in
+      Store.put a ~kind:"sample" ~key:"outer" (fun oc ->
+          Store.write_varint oc 7;
+          put_sample b ~key:"inner");
+      Alcotest.(check (option int))
+        "the outer put survived the nested one" (Some 7)
+        (Store.find a ~kind:"sample" ~key:"outer" Store.read_varint);
+      Alcotest.(check bool) "the nested put landed" true
+        (find_sample b ~key:"inner" <> None))
+
 let test_parallel_matches_sequential () =
   let configs =
     Ddg_paragraph.Config.(
@@ -529,5 +547,7 @@ let tests =
       test_fsck_sweeps_dead_temps;
     Alcotest.test_case "racing recovery converges" `Quick
       test_racing_recovery_converges;
+    Alcotest.test_case "two handles in one process never share a temp name"
+      `Quick test_handles_never_share_temp_names;
     Alcotest.test_case "workers=4 matches sequential" `Quick
       test_parallel_matches_sequential ]

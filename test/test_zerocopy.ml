@@ -261,8 +261,7 @@ let test_flat_truncation_typed () =
             match
               Trace_io.stream_file ~verify:false cut_path
                 ~init:(fun (_ : Trace_io.flat_info) -> 0)
-                ~row:(fun acc ~flags:_ ~pc:_ ~d:_ ~s0:_ ~s1:_ ~s2:_ ~extra:_ ->
-                  acc + 1)
+                ~rows:(fun acc (cols : Trace.columns) ~extra:_ -> acc + cols.n)
             with
             | (_ : int) ->
                 Alcotest.failf "stream_file accepted truncation at %d/%d" cut n
@@ -454,12 +453,11 @@ let test_bounded_memory_stream () =
           let rows =
             Trace_io.stream_file ~verify:false path
               ~init:(fun (_ : Trace_io.flat_info) -> 0)
-              ~row:(fun n ~flags:_ ~pc:_ ~d:_ ~s0:_ ~s1:_ ~s2:_ ~extra:_ ->
-                if n land 0xFFFF = 0 then begin
-                  let live = (Gc.quick_stat ()).Gc.heap_words in
-                  if live > !worst then worst := live
-                end;
-                n + 1)
+              ~rows:(fun n (cols : Trace.columns) ~extra:_ ->
+                (* one sample per 64 Ki-row read window *)
+                let live = (Gc.quick_stat ()).Gc.heap_words in
+                if live > !worst then worst := live;
+                n + cols.n)
           in
           Alcotest.(check int) "every row streamed" events rows;
           Alcotest.(check bool) "heap stayed under the ceiling" true
