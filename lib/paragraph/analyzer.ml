@@ -49,6 +49,7 @@ type state = {
   predictor_perfect : bool;
   mutable highest_level : int;         (* first placeable level *)
   mutable deepest_level : int;         (* deepest completion level used *)
+  mutable level : int;                 (* level of the last placed row *)
   mutable mispredicts : int;
 }
 
@@ -73,6 +74,7 @@ let create_state (config : Config.t) =
     predictor_perfect = Branch_pred.predicts_perfectly predictor;
     highest_level = 0;
     deepest_level = -1;
+    level = -1;
     mispredicts = 0;
   }
 
@@ -115,7 +117,7 @@ let feed_span (config : Config.t) =
    states and is fed row ranges of trace columns: [analyze] feeds one
    state the whole packed or mapped trace, [analyze_many] a group of up
    to eight, [analyze_stream] each read window of a flat file, and
-   {!Two_pass} one row at a time with evictions in between. Interleaving
+   {!Two_pass} and {!Ddg.build} one row at a time. Interleaving
    N separate live wells would thrash the cache (each state's table is a
    disjoint random-access region), so the kernel keeps a {e banked,
    direct-indexed} well: location ids are dense in [0, num_locs), so
@@ -206,10 +208,10 @@ let create_group configs ~num_locs ~classes =
     pcounts = Array.init n (fun _ -> Array.make 256 0);
     pshift = Array.make n 0;
     (* [plain] states have no instruction window and no functional-unit
-       limits, so the value-row loop needs no window bookkeeping and no
-       resource placement — the common case (every renaming/syscall
-       sweep) gets a tighter loop. [analyze_many] groups plain
-       configurations together so whole groups qualify. *)
+       limits, so the row loop skips the window calls and inert control
+       rows — the common case (every renaming/syscall sweep).
+       [analyze_many] groups plain configurations together so whole
+       groups qualify. *)
     plain =
       Array.for_all
         (fun t ->
@@ -366,6 +368,7 @@ let feed k (cols : Ddg_sim.Trace.columns) ~extra:extra_srcs ~lo ~hi =
             if level > t.highest_level then level else t.highest_level
           in
           fused_prof_add pcounts pshift j level;
+          t.level <- level;
           if level > t.deepest_level then t.deepest_level <- level;
           if s0 >= 0 then touch_use s0 jo hl1 level;
           if s1 >= 0 then touch_use s1 jo hl1 level;
@@ -385,262 +388,140 @@ let feed k (cols : Ddg_sim.Trace.columns) ~extra:extra_srcs ~lo ~hi =
         if d >= 0 then Char.code (Bytes.unsafe_get classes d) else 0
       in
       let nextra = Array.length extra in
-      if plain then
-        (* no window, no resource limits: the tight common case. The
-           touch/use/define helpers are spelled out inline — the
-           non-flambda compiler keeps local closures as indirect
-           calls, and at several per operand per state per row that
-           overhead rivals the analysis itself. *)
-        for j = 0 to n - 1 do
-          let t = Array.unsafe_get states j in
-          let jo = j * bank in
-          let hl1 = t.highest_level - 1 in
-          let ready = hl1 in
-          let ready =
-            if s0 >= 0 then begin
-              let off = (s0 * stride) + jo in
-              let c = Array.unsafe_get w off in
-              if c = absent then begin
-                Array.unsafe_set w off hl1;
-                Array.unsafe_set w (off + 1) hl1;
-                Array.unsafe_set w (off + 2) 0;
-                Array.unsafe_set live j (Array.unsafe_get live j + 1);
-                if hl1 > ready then hl1 else ready
-              end
-              else if c > ready then c
-              else ready
-            end
-            else ready
-          in
-          let ready =
-            if s1 >= 0 then begin
-              let off = (s1 * stride) + jo in
-              let c = Array.unsafe_get w off in
-              if c = absent then begin
-                Array.unsafe_set w off hl1;
-                Array.unsafe_set w (off + 1) hl1;
-                Array.unsafe_set w (off + 2) 0;
-                Array.unsafe_set live j (Array.unsafe_get live j + 1);
-                if hl1 > ready then hl1 else ready
-              end
-              else if c > ready then c
-              else ready
-            end
-            else ready
-          in
-          let ready =
-            if s2 >= 0 then begin
-              let off = (s2 * stride) + jo in
-              let c = Array.unsafe_get w off in
-              if c = absent then begin
-                Array.unsafe_set w off hl1;
-                Array.unsafe_set w (off + 1) hl1;
-                Array.unsafe_set w (off + 2) 0;
-                Array.unsafe_set live j (Array.unsafe_get live j + 1);
-                if hl1 > ready then hl1 else ready
-              end
-              else if c > ready then c
-              else ready
-            end
-            else ready
-          in
-          let ready =
-            if nextra = 0 then ready
-            else begin
-              let r = ref ready in
-              for k = 0 to nextra - 1 do
-                r := max !r (touch_ready extra.(k) jo hl1)
-              done;
-              !r
-            end
-          in
-          let level = ready + Array.unsafe_get t.lat tag in
-          let level =
-            if d >= 0 && Array.unsafe_get t.storage_dep dclass
-            then begin
-              let off = (d * stride) + jo in
-              let c = Array.unsafe_get w off in
-              if c = absent then level
-              else
-                let dp = Array.unsafe_get w (off + 1) in
-                let con = (if c > dp then c else dp) + 1 in
-                if con > level then con else level
-            end
-            else level
-          in
-          (let counts = Array.unsafe_get pcounts j in
-           let idx = level lsr Array.unsafe_get pshift j in
-           if idx >= Array.length counts then
-             fused_prof_add pcounts pshift j level
-           else
-             Array.unsafe_set counts idx (Array.unsafe_get counts idx + 1));
-          if level > t.deepest_level then t.deepest_level <- level;
+      (* The touch/use/define helpers are spelled out inline: the
+         non-flambda compiler keeps local closures as indirect calls,
+         and at several per operand per state per row that overhead
+         rivals the analysis itself. A [plain] kernel skips the window
+         calls. *)
+      for j = 0 to n - 1 do
+        let t = Array.unsafe_get states j in
+        if not plain then window_make_room t;
+        let jo = j * bank in
+        let hl1 = t.highest_level - 1 in
+        let ready = hl1 in
+        let ready =
           if s0 >= 0 then begin
             let off = (s0 * stride) + jo in
-            if level > Array.unsafe_get w (off + 1) then
-              Array.unsafe_set w (off + 1) level;
-            Array.unsafe_set w (off + 2)
-              (Array.unsafe_get w (off + 2) + 2)
-          end;
-          if s1 >= 0 then begin
-            let off = (s1 * stride) + jo in
-            if level > Array.unsafe_get w (off + 1) then
-              Array.unsafe_set w (off + 1) level;
-            Array.unsafe_set w (off + 2)
-              (Array.unsafe_get w (off + 2) + 2)
-          end;
-          if s2 >= 0 then begin
-            let off = (s2 * stride) + jo in
-            if level > Array.unsafe_get w (off + 1) then
-              Array.unsafe_set w (off + 1) level;
-            Array.unsafe_set w (off + 2)
-              (Array.unsafe_get w (off + 2) + 2)
-          end;
-          if nextra <> 0 then
-            for k = 0 to nextra - 1 do
-              record_use extra.(k) jo level
-            done;
-          if d >= 0 then begin
-            let off = (d * stride) + jo in
             let c = Array.unsafe_get w off in
-            if c = absent then
-              Array.unsafe_set live j (Array.unsafe_get live j + 1)
-            else if Array.unsafe_get w (off + 2) land 1 <> 0 then
-              retire_off t off;
-            Array.unsafe_set w off level;
-            Array.unsafe_set w (off + 1) level;
-            Array.unsafe_set w (off + 2) 1
+            if c = absent then begin
+              Array.unsafe_set w off hl1;
+              Array.unsafe_set w (off + 1) hl1;
+              Array.unsafe_set w (off + 2) 0;
+              Array.unsafe_set live j (Array.unsafe_get live j + 1);
+              if hl1 > ready then hl1 else ready
+            end
+            else if c > ready then c
+            else ready
           end
-        done
-      else
-        for j = 0 to n - 1 do
-          let t = Array.unsafe_get states j in
-          window_make_room t;
-          let jo = j * bank in
-          let hl1 = t.highest_level - 1 in
-          let ready = hl1 in
-          let ready =
-            if s0 >= 0 then begin
-              let off = (s0 * stride) + jo in
-              let c = Array.unsafe_get w off in
-              if c = absent then begin
-                Array.unsafe_set w off hl1;
-                Array.unsafe_set w (off + 1) hl1;
-                Array.unsafe_set w (off + 2) 0;
-                Array.unsafe_set live j (Array.unsafe_get live j + 1);
-                if hl1 > ready then hl1 else ready
-              end
-              else if c > ready then c
-              else ready
-            end
-            else ready
-          in
-          let ready =
-            if s1 >= 0 then begin
-              let off = (s1 * stride) + jo in
-              let c = Array.unsafe_get w off in
-              if c = absent then begin
-                Array.unsafe_set w off hl1;
-                Array.unsafe_set w (off + 1) hl1;
-                Array.unsafe_set w (off + 2) 0;
-                Array.unsafe_set live j (Array.unsafe_get live j + 1);
-                if hl1 > ready then hl1 else ready
-              end
-              else if c > ready then c
-              else ready
-            end
-            else ready
-          in
-          let ready =
-            if s2 >= 0 then begin
-              let off = (s2 * stride) + jo in
-              let c = Array.unsafe_get w off in
-              if c = absent then begin
-                Array.unsafe_set w off hl1;
-                Array.unsafe_set w (off + 1) hl1;
-                Array.unsafe_set w (off + 2) 0;
-                Array.unsafe_set live j (Array.unsafe_get live j + 1);
-                if hl1 > ready then hl1 else ready
-              end
-              else if c > ready then c
-              else ready
-            end
-            else ready
-          in
-          let ready =
-            if nextra = 0 then ready
-            else begin
-              let r = ref ready in
-              for k = 0 to nextra - 1 do
-                r := max !r (touch_ready extra.(k) jo hl1)
-              done;
-              !r
-            end
-          in
-          let level = ready + Array.unsafe_get t.lat tag in
-          let level =
-            if d >= 0 && Array.unsafe_get t.storage_dep dclass
-            then begin
-              let off = (d * stride) + jo in
-              let c = Array.unsafe_get w off in
-              if c = absent then level
-              else
-                let dp = Array.unsafe_get w (off + 1) in
-                let con = (if c > dp then c else dp) + 1 in
-                if con > level then con else level
-            end
-            else level
-          in
-          let level =
-            if t.resources_unlimited then level
-            else
-              Resources.place t.resources (Array.unsafe_get t.ops tag) level
-          in
-          (let counts = Array.unsafe_get pcounts j in
-           let idx = level lsr Array.unsafe_get pshift j in
-           if idx >= Array.length counts then
-             fused_prof_add pcounts pshift j level
-           else
-             Array.unsafe_set counts idx (Array.unsafe_get counts idx + 1));
-          if level > t.deepest_level then t.deepest_level <- level;
-          if s0 >= 0 then begin
-            let off = (s0 * stride) + jo in
-            if level > Array.unsafe_get w (off + 1) then
-              Array.unsafe_set w (off + 1) level;
-            Array.unsafe_set w (off + 2)
-              (Array.unsafe_get w (off + 2) + 2)
-          end;
+          else ready
+        in
+        let ready =
           if s1 >= 0 then begin
             let off = (s1 * stride) + jo in
-            if level > Array.unsafe_get w (off + 1) then
-              Array.unsafe_set w (off + 1) level;
-            Array.unsafe_set w (off + 2)
-              (Array.unsafe_get w (off + 2) + 2)
-          end;
+            let c = Array.unsafe_get w off in
+            if c = absent then begin
+              Array.unsafe_set w off hl1;
+              Array.unsafe_set w (off + 1) hl1;
+              Array.unsafe_set w (off + 2) 0;
+              Array.unsafe_set live j (Array.unsafe_get live j + 1);
+              if hl1 > ready then hl1 else ready
+            end
+            else if c > ready then c
+            else ready
+          end
+          else ready
+        in
+        let ready =
           if s2 >= 0 then begin
             let off = (s2 * stride) + jo in
-            if level > Array.unsafe_get w (off + 1) then
-              Array.unsafe_set w (off + 1) level;
-            Array.unsafe_set w (off + 2)
-              (Array.unsafe_get w (off + 2) + 2)
-          end;
-          if nextra <> 0 then
+            let c = Array.unsafe_get w off in
+            if c = absent then begin
+              Array.unsafe_set w off hl1;
+              Array.unsafe_set w (off + 1) hl1;
+              Array.unsafe_set w (off + 2) 0;
+              Array.unsafe_set live j (Array.unsafe_get live j + 1);
+              if hl1 > ready then hl1 else ready
+            end
+            else if c > ready then c
+            else ready
+          end
+          else ready
+        in
+        let ready =
+          if nextra = 0 then ready
+          else begin
+            let r = ref ready in
             for k = 0 to nextra - 1 do
-              record_use extra.(k) jo level
+              r := max !r (touch_ready extra.(k) jo hl1)
             done;
-          if d >= 0 then begin
+            !r
+          end
+        in
+        let level = ready + Array.unsafe_get t.lat tag in
+        let level =
+          if d >= 0 && Array.unsafe_get t.storage_dep dclass
+          then begin
             let off = (d * stride) + jo in
             let c = Array.unsafe_get w off in
-            if c = absent then
-              Array.unsafe_set live j (Array.unsafe_get live j + 1)
-            else if Array.unsafe_get w (off + 2) land 1 <> 0 then
-              retire_off t off;
-            Array.unsafe_set w off level;
+            if c = absent then level
+            else
+              let dp = Array.unsafe_get w (off + 1) in
+              let con = (if c > dp then c else dp) + 1 in
+              if con > level then con else level
+          end
+          else level
+        in
+        let level =
+          if t.resources_unlimited then level
+          else
+            Resources.place t.resources (Array.unsafe_get t.ops tag) level
+        in
+        (let counts = Array.unsafe_get pcounts j in
+         let idx = level lsr Array.unsafe_get pshift j in
+         if idx >= Array.length counts then
+           fused_prof_add pcounts pshift j level
+         else
+           Array.unsafe_set counts idx (Array.unsafe_get counts idx + 1));
+        t.level <- level;
+        if level > t.deepest_level then t.deepest_level <- level;
+        if s0 >= 0 then begin
+          let off = (s0 * stride) + jo in
+          if level > Array.unsafe_get w (off + 1) then
             Array.unsafe_set w (off + 1) level;
-            Array.unsafe_set w (off + 2) 1
-          end;
-          window_admit t level
-        done
+          Array.unsafe_set w (off + 2)
+            (Array.unsafe_get w (off + 2) + 2)
+        end;
+        if s1 >= 0 then begin
+          let off = (s1 * stride) + jo in
+          if level > Array.unsafe_get w (off + 1) then
+            Array.unsafe_set w (off + 1) level;
+          Array.unsafe_set w (off + 2)
+            (Array.unsafe_get w (off + 2) + 2)
+        end;
+        if s2 >= 0 then begin
+          let off = (s2 * stride) + jo in
+          if level > Array.unsafe_get w (off + 1) then
+            Array.unsafe_set w (off + 1) level;
+          Array.unsafe_set w (off + 2)
+            (Array.unsafe_get w (off + 2) + 2)
+        end;
+        if nextra <> 0 then
+          for k = 0 to nextra - 1 do
+            record_use extra.(k) jo level
+          done;
+        if d >= 0 then begin
+          let off = (d * stride) + jo in
+          let c = Array.unsafe_get w off in
+          if c = absent then
+            Array.unsafe_set live j (Array.unsafe_get live j + 1)
+          else if Array.unsafe_get w (off + 2) land 1 <> 0 then
+            retire_off t off;
+          Array.unsafe_set w off level;
+          Array.unsafe_set w (off + 1) level;
+          Array.unsafe_set w (off + 2) 1
+        end;
+        if not plain then window_admit t level
+      done
     end
   done
 
@@ -660,6 +541,9 @@ let evict k id =
     k.states
 
 let live_locations k = k.live.(0)
+let level k = k.states.(0).level
+let highest_level k = k.states.(0).highest_level
+let mispredicts k = k.states.(0).mispredicts
 
 (* retire every live computed value into each state's distributions,
    settle the batched row counters and rebuild each state's profile *)
@@ -766,8 +650,8 @@ let analyze_stream ?verify ?window config path =
    parallel domains — the packed trace is shared read-only, every other
    structure is group-private. Plain configurations (no window, no
    functional-unit limits) are grouped separately from the rest so their
-   groups take the kernel's specialised value loop; results come back
-   in the caller's order regardless. *)
+   groups skip the window calls and inert control rows; results come
+   back in the caller's order regardless. *)
 let analyze_many ?max_domains configs trace =
   (* before any group starts, so no worker domain raises mid-run *)
   List.iter check_config configs;

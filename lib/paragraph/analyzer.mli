@@ -94,6 +94,21 @@ val evict : t -> int -> unit
 val live_locations : t -> int
 (** Current live-well occupancy (distinct locations held). *)
 
+(** The read-only accessors below report the state's own placement as
+    [feed] left it; {!Ddg.build} reads them after every row to name the
+    edges of the explicit graph. *)
+
+val level : t -> int
+(** Completion level of the last placed row (a value row or a
+    conservative system call); [-1] before the first. *)
+
+val highest_level : t -> int
+(** The current [highestLevel]: the first level at which an operation
+    may be placed. *)
+
+val mispredicts : t -> int
+(** Mispredicted branches so far; stays 0 under perfect prediction. *)
+
 val finish : t -> stats
 (** Retire remaining live values into the distributions and report. The
     state must not be fed after [finish]. *)

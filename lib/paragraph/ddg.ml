@@ -23,236 +23,119 @@ type t = {
          once so predecessors and chain walks don't rescan [edges] *)
 }
 
-(* A live-well entry extended with provenance: which node created the value
-   and which nodes have consumed it. [creator = None] for pre-existing
-   values. *)
-type cell = {
-  mutable create_level : int;
-  mutable deepest_use : int;
-  mutable creator : int option;
-  mutable users : (int * int) list;  (* (node id, use level) *)
-}
-
-module Table = Hashtbl.Make (struct
-  type t = Loc.t
-
-  let equal = Loc.equal
-  let hash = Loc.hash
-end)
-
-let storage_dependencies_apply (config : Config.t) loc =
-  let { Config.registers; stack; data } = config.renaming in
-  match Segment.storage_class_of_loc loc with
-  | Loc.Register -> not registers
-  | Loc.Stack_memory -> not stack
-  | Loc.Data_memory -> not data
-
-(* The window holds (completion level, node id) per trace event; node id is
-   -1 for events that placed no node. *)
-type builder = {
-  config : Config.t;
-  table : cell Table.t;
-  mutable rev_nodes : node list;
-  mutable edges : edge list;
-  mutable next_id : int;
-  mutable highest_level : int;
-  mutable deepest_level : int;
-  mutable firewall : int option;  (* node id of the last firewall source *)
-  window : (int * int) Queue.t option;
-  window_capacity : int;
-  resources : Resources.t;
-  predictor : Branch_pred.t;
-}
-
-let lookup b loc =
-  match Table.find_opt b.table loc with
-  | Some c -> c
-  | None ->
-      let level = b.highest_level - 1 in
-      let c =
-        { create_level = level; deepest_use = level; creator = None; users = [] }
-      in
-      Table.replace b.table loc c;
-      c
-
-let add_edge b from_node to_node kind =
-  if from_node <> to_node then
-    b.edges <- { from_node; to_node; kind } :: b.edges
-
-let window_make_room b =
-  match b.window with
-  | None -> ()
-  | Some q ->
-      if Queue.length q = b.window_capacity then begin
-        let displaced_level, displaced_node = Queue.pop q in
-        if displaced_level + 1 > b.highest_level then begin
-          b.highest_level <- displaced_level + 1;
-          if displaced_node >= 0 then b.firewall <- Some displaced_node
-        end
-      end
-
-let window_admit b level node_id =
-  match b.window with
-  | None -> ()
-  | Some q -> Queue.push (level, node_id) q
-
-let fresh_node b trace_index (e : Ddg_sim.Trace.event) level =
-  let id = b.next_id in
-  b.next_id <- id + 1;
-  let node =
-    { id; trace_index; pc = e.pc; op_class = e.op_class; dest = e.dest; level }
-  in
-  b.rev_nodes <- node :: b.rev_nodes;
-  node
-
-let record_effects b id (e : Ddg_sim.Trace.event) src_cells level =
-  if level > b.deepest_level then b.deepest_level <- level;
-  List.iter
-    (fun c ->
-      if level > c.deepest_use then c.deepest_use <- level;
-      c.users <- (id, level) :: c.users)
-    src_cells;
-  match e.dest with
-  | Some dest ->
-      Table.replace b.table dest
-        { create_level = level; deepest_use = level; creator = Some id;
-          users = [] }
-  | None -> ()
-
-let place b trace_index (e : Ddg_sim.Trace.event) =
-  let src_cells = List.map (lookup b) e.srcs in
-  let src_ready =
-    List.fold_left (fun acc c -> max acc c.create_level) min_int src_cells
-  in
-  let ready = max src_ready (b.highest_level - 1) in
-  let level = ready + b.config.latency e.op_class in
-  let storage_pred =
-    match e.dest with
-    | Some dest when storage_dependencies_apply b.config dest -> (
-        match Table.find_opt b.table dest with
-        | Some c -> Some (c, max c.create_level c.deepest_use)
-        | None -> None)
-    | Some _ | None -> None
-  in
-  let level =
-    match storage_pred with
-    | Some (_, d) -> max level (d + 1)
-    | None -> level
-  in
-  let level =
-    if Resources.unlimited b.resources then level
-    else Resources.place b.resources e.op_class level
-  in
-  let node = fresh_node b trace_index e level in
-  List.iter
-    (fun c ->
-      match c.creator with
-      | Some creator -> add_edge b creator node.id True_data
-      | None -> ())
-    src_cells;
-  (match storage_pred with
-  | Some (c, d) ->
-      let source =
-        match List.find_opt (fun (_, l) -> l = d) c.users with
-        | Some (user, _) -> Some user
-        | None -> c.creator
-      in
-      (match source with
-      | Some n -> add_edge b n node.id Storage
-      | None -> ())
-  | None -> ());
-  (match b.firewall with
-  | Some fw when src_ready < b.highest_level - 1 ->
-      (* the firewall, not a data dependency, held this node down *)
-      add_edge b fw node.id Control
-  | Some _ | None -> ());
-  record_effects b node.id e src_cells level;
-  level
-
-(* Conservative system call: placed immediately after the deepest
-   computation, and everything afterwards must sit below it. *)
-let place_syscall_conservative b trace_index (e : Ddg_sim.Trace.event) =
-  let src_cells = List.map (lookup b) e.srcs in
-  let level = b.deepest_level + b.config.latency e.op_class in
-  let level = max level b.highest_level in
-  let node = fresh_node b trace_index e level in
-  List.iter
-    (fun c ->
-      match c.creator with
-      | Some creator -> add_edge b creator node.id True_data
-      | None -> ())
-    src_cells;
-  (match b.firewall with
-  | Some fw -> add_edge b fw node.id Control
-  | None -> ());
-  record_effects b node.id e src_cells level;
-  b.highest_level <- level + 1;
-  b.firewall <- Some node.id;
-  level
-
-let feed b trace_index (e : Ddg_sim.Trace.event) =
-  window_make_room b;
-  match e.op_class with
-  | Opclass.Control ->
-      (match e.branch with
-      | Some { taken } ->
-          if
-            (not (Branch_pred.predicts_perfectly b.predictor))
-            && Branch_pred.mispredicted b.predictor ~pc:e.pc ~taken
-          then begin
-            let ready =
-              List.fold_left
-                (fun acc loc -> max acc (lookup b loc).create_level)
-                (b.highest_level - 1) e.srcs
-            in
-            let resolve = ready + 1 in
-            if resolve > b.highest_level then b.highest_level <- resolve
-          end
-      | None -> ());
-      window_admit b (b.highest_level - 1) (-1)
-  | Opclass.Syscall ->
-      if b.config.syscall_stall then
-        let level = place_syscall_conservative b trace_index e in
-        window_admit b level (b.next_id - 1)
-      else window_admit b (b.highest_level - 1) (-1)
-  | Opclass.Int_alu | Opclass.Int_multiply | Opclass.Int_divide
-  | Opclass.Fp_add_sub | Opclass.Fp_multiply | Opclass.Fp_divide
-  | Opclass.Load_store ->
-      let level = place b trace_index e in
-      window_admit b level (b.next_id - 1)
-
+(* The kernel places every row and this builder names the edges. Per
+   location id it keeps the node that created the held value and the
+   latest node that used that value at its deepest level; besides those,
+   the node each row placed, the latest node at the deepest level, and
+   the firewall node ([-1]: none). highestLevel only ever rises to one
+   past a node's level, so the firewall node always sits at
+   highestLevel - 1, and a node raises highestLevel exactly when it is
+   deeper than the firewall node. *)
 let build config trace =
-  Result.iter_error invalid_arg (Config.validate config);
-  let b =
-    {
-      config;
-      table = Table.create 256;
-      rev_nodes = [];
-      edges = [];
-      next_id = 0;
-      highest_level = 0;
-      deepest_level = -1;
-      firewall = None;
-      window =
-        (match config.Config.window with
-        | Some _ -> Some (Queue.create ())
-        | None -> None);
-      window_capacity =
-        (match config.Config.window with Some w -> w | None -> 0);
-      resources = Resources.create config.Config.fu;
-      predictor = Branch_pred.create config.Config.branch;
-    }
+  let cols = Ddg_sim.Trace.columns trace in
+  let num_locs = Ddg_sim.Trace.num_locs trace
+  and classes = Ddg_sim.Trace.storage_classes trace
+  and extra = Ddg_sim.Trace.extra_srcs trace in
+  let k = Analyzer.create config ~num_locs ~classes in
+  let storage_dep = Config.storage_dependency_table config in
+  let creator = Array.make num_locs (-1)
+  and deepest_user = Array.make num_locs (-1)
+  and node_of_row = Array.make cols.n (-1)
+  and levels = Array.make cols.n 0 in
+  let rev_nodes = ref [] and edges = ref [] and next_id = ref 0 in
+  let firewall = ref (-1) and deepest = ref (-1) in
+  let add_edge from_node to_node kind =
+    if from_node >= 0 then edges := { from_node; to_node; kind } :: !edges
   in
-  Ddg_sim.Trace.iteri (fun i e -> feed b i e) trace;
-  let nodes = Array.of_list (List.rev b.rev_nodes) in
-  let edges = List.rev b.edges in
+  let raise_firewall x =
+    if x >= 0 && (!firewall < 0 || levels.(x) > levels.(!firewall)) then
+      firewall := x
+  in
+  for i = 0 to cols.n - 1 do
+    let flags = Char.code cols.flags.{i} in
+    let tag = flags land Ddg_sim.Trace.flags_class_mask in
+    let srcs =
+      List.filter (fun id -> id >= 0)
+        [ cols.src0.{i}; cols.src1.{i}; cols.src2.{i} ]
+      @
+      if flags land Ddg_sim.Trace.flags_extra <> 0 then
+        Array.to_list (extra i)
+      else []
+    in
+    let mispredicts = Analyzer.mispredicts k in
+    Analyzer.feed k cols ~extra ~lo:i ~hi:(i + 1);
+    (match config.Config.window with
+    | Some w when i >= w -> raise_firewall node_of_row.(i - w)
+    | _ -> ());
+    if tag = Opclass.control_tag then begin
+      (* a mispredicted branch resolves one past its latest-created
+         source *)
+      if Analyzer.mispredicts k > mispredicts then
+        raise_firewall
+          (List.fold_left
+             (fun latest s ->
+               let c = creator.(s) in
+               if c >= 0 && (latest < 0 || levels.(c) > levels.(latest))
+               then c
+               else latest)
+             (-1) srcs)
+    end
+    else if tag <> Opclass.syscall_tag || config.Config.syscall_stall then begin
+      let id = !next_id and level = Analyzer.level k in
+      incr next_id;
+      levels.(id) <- level;
+      node_of_row.(i) <- id;
+      let d = cols.dsts.{i} in
+      rev_nodes :=
+        { id; trace_index = i; pc = cols.pcs.{i};
+          op_class = Opclass.of_tag tag;
+          dest =
+            (if d >= 0 then Some (Ddg_sim.Trace.loc_of_id trace d) else None);
+          level }
+        :: !rev_nodes;
+      List.iter (fun s -> add_edge creator.(s) id True_data) srcs;
+      if tag = Opclass.syscall_tag then begin
+        (* placed just past the deepest node so far, and the new
+           firewall *)
+        add_edge !deepest id Control;
+        firewall := id
+      end
+      else begin
+        if d >= 0 && storage_dep.(Char.code (Bytes.get classes d)) then
+          add_edge
+            (if deepest_user.(d) >= 0 then deepest_user.(d) else creator.(d))
+            id Storage;
+        (* the firewall held the node when no source's creator sits at
+           highestLevel - 1 or deeper; a pre-existing source sits there
+           only because the firewall does *)
+        let firewall_level = Analyzer.highest_level k - 1 in
+        if
+          List.for_all
+            (fun s -> creator.(s) < 0 || levels.(creator.(s)) < firewall_level)
+            srcs
+        then add_edge !firewall id Control
+      end;
+      List.iter
+        (fun s ->
+          let u = deepest_user.(s) in
+          if u < 0 || levels.(u) <= level then deepest_user.(s) <- id)
+        srcs;
+      if d >= 0 then begin
+        creator.(d) <- id;
+        deepest_user.(d) <- -1
+      end;
+      if !deepest < 0 || levels.(!deepest) <= level then deepest := id
+    end
+  done;
+  let nodes = Array.of_list (List.rev !rev_nodes) in
+  let edges = List.rev !edges in
   let incoming = Array.make (Array.length nodes) [] in
   List.iter (fun e -> incoming.(e.to_node) <- e :: incoming.(e.to_node)) edges;
   Array.iteri (fun i es -> incoming.(i) <- List.rev es) incoming;
   {
     nodes;
     edges;
-    critical_path = b.deepest_level + 1;
+    critical_path = (Analyzer.finish k).critical_path;
     placed = Array.length nodes;
     incoming;
   }

@@ -6,15 +6,24 @@
     placed operation becomes a node, and every dependency that constrained
     its placement becomes a typed edge (true-data, storage, or control).
 
-    Placement semantics are identical to {!Analyzer} — a property test in
-    the suite checks that both compute the same critical path and profile
-    on arbitrary traces — but memory grows with trace length, so use this
-    only for traces of up to ~10^5 events. *)
+    Every level comes from the {!Analyzer} kernel, fed one row at a time;
+    this module only names the edges, from the node that created each
+    held value and the nodes that used it. Memory grows with trace
+    length, so use this only for traces of up to ~10^5 events. *)
 
 type edge_kind =
   | True_data  (** RAW: the value created at the edge's head is consumed *)
   | Storage    (** WAR/WAW: location reuse when renaming is disabled *)
-  | Control    (** firewall: system call or mispredicted branch *)
+  | Control
+      (** firewall: [highestLevel], not a source, held the node down.
+          The edge starts at the firewall node, the node whose level
+          last raised [highestLevel]: a conservative system call, a node
+          displaced from the instruction window, or the latest-created
+          source of a mispredicted branch. A node gets one when none of
+          its sources' creators sits at [highestLevel - 1] or deeper. A
+          conservative system call's edge starts instead at the latest
+          node placed at the deepest level yet used, which it waits
+          for. *)
 
 type node = {
   id : int;              (** dense node index, in trace order *)
@@ -48,7 +57,7 @@ val predecessors : t -> int -> edge list
 (** Edges into a node. *)
 
 val critical_chain : t -> node list
-(** One maximal dependence chain ending at a deepest node, deepest first:
+(** One maximal dependence chain ending at a deepest node, root first:
     from a node at the maximum level, repeatedly step to the predecessor
     at the highest level. Useful for diagnosing {e what} limits the
     parallelism of a trace (loop counters? accumulators? storage reuse?). *)

@@ -9,6 +9,7 @@
    - Section 3.2 special cases: pre-existing values, system-call
      firewalls, the instruction window. *)
 
+open Ddg_isa
 open Ddg_paragraph
 open Ddg_sim
 
@@ -141,11 +142,68 @@ let test_ddg_storage_edges_fig2 () =
   (* t0 and t1 are each overwritten once with the old value in use *)
   Alcotest.(check bool) "storage edges present" true (List.length storage >= 2)
 
+(* Figures 1 and 2 as DOT, recorded from the explicit builder that kept
+   its own hashed live well before it became a client of the kernel *)
+let figure1_dot = {|digraph ddg {
+  rankdir=TB;
+  node [shape=box, fontsize=10];
+  n0 [label="@0 r8\nLoad/Store"];
+  n1 [label="@1 r9\nLoad/Store"];
+  n2 [label="@2 r12\nInteger ALU"];
+  n3 [label="@3 r10\nLoad/Store"];
+  n4 [label="@4 r11\nLoad/Store"];
+  n5 [label="@5 r13\nInteger ALU"];
+  n6 [label="@6 r14\nInteger ALU"];
+  n7 [label="@7 [0x10000010]\nLoad/Store"];
+  { rank=same; n6; }
+  { rank=same; n4; n3; n1; n0; }
+  { rank=same; n7; }
+  { rank=same; n5; n2; }
+  n0 -> n2;
+  n1 -> n2;
+  n3 -> n5;
+  n4 -> n5;
+  n2 -> n6;
+  n5 -> n6;
+  n6 -> n7;
+}
+|}
+
+let figure2_dot = {|digraph ddg {
+  rankdir=TB;
+  node [shape=box, fontsize=10];
+  n0 [label="@0 r8\nLoad/Store"];
+  n1 [label="@1 r9\nLoad/Store"];
+  n2 [label="@2 r12\nInteger ALU"];
+  n3 [label="@3 r8\nLoad/Store"];
+  n4 [label="@4 r9\nLoad/Store"];
+  n5 [label="@5 r13\nInteger ALU"];
+  n6 [label="@6 r14\nInteger ALU"];
+  n7 [label="@7 [0x10000010]\nLoad/Store"];
+  { rank=same; n4; n3; }
+  { rank=same; n1; n0; }
+  { rank=same; n5; }
+  { rank=same; n7; }
+  { rank=same; n2; }
+  { rank=same; n6; }
+  n0 -> n2;
+  n1 -> n2;
+  n2 -> n3 [color=gray, arrowhead=dot];
+  n2 -> n4 [color=gray, arrowhead=dot];
+  n3 -> n5;
+  n4 -> n5;
+  n2 -> n6;
+  n5 -> n6;
+  n6 -> n7;
+}
+|}
+
 let test_ddg_dot () =
-  let ddg = Ddg.build Config.default (trace_of figure1) in
-  let dot = Ddg.to_dot ddg in
-  Alcotest.(check bool) "digraph" true
-    (String.length dot > 50 && String.sub dot 0 7 = "digraph")
+  Alcotest.(check string) "figure 1" figure1_dot
+    (Ddg.to_dot (Ddg.build Config.default (trace_of figure1)));
+  Alcotest.(check string) "figure 2" figure2_dot
+    (Ddg.to_dot
+       (Ddg.build Config.(with_renaming rename_none default) (trace_of figure2)))
 
 (* --- system calls -------------------------------------------------------- *)
 
@@ -485,7 +543,13 @@ let digest_configs =
         { Config.unlimited_fu with
           total = Some 6; int_units = Some 3; mem_units = Some 2 } );
     ("2-bit(10)", Config.(with_branch (Two_bit 10) default));
-    ("predict-taken", Config.(with_branch Predict_taken default)) ]
+    ("predict-taken", Config.(with_branch Predict_taken default));
+    ( "no renaming, window 64",
+      Config.(with_window (Some 64) (with_renaming rename_none default)) );
+    ( "no renaming, fu total 4",
+      Config.(
+        with_renaming rename_none
+          (with_fu { unlimited_fu with total = Some 4 } default)) ) ]
 
 let recorded_digests =
   [ ("cc1x/tiny/base", "43f13e6df014a247cce23680669ee9b3");
@@ -580,6 +644,29 @@ let recorded_digests =
     ("xlispx/tiny/predict-taken", "5ef52f6a01ef8f594608d1bb553948b4");
     ("cc1x/default/base", "5a5dd8eaca4d4129deddcd4b5d58a1ea");
     ("cc1x/default/window 64", "61e63ec2fe920b8b1f7f76ceeedb0696") ]
+  (* storage dependences under a window and under an FU limit, recorded
+     from the kernel while it still kept a separate value-row body for
+     plain configurations *)
+  @ [ ("cc1x/tiny/no renaming, window 64", "deaa1e9969f5faed92c1b216765a02aa");
+      ("cc1x/tiny/no renaming, fu total 4", "2046d95bf855f3aec821f3165b91f7c8");
+      ("doducx/tiny/no renaming, window 64", "c62ed6e31f304d595ac7fbda170374cf");
+      ("doducx/tiny/no renaming, fu total 4", "28dc55d82c61522c90967af78d083682");
+      ("eqnx/tiny/no renaming, window 64", "0ae127eb8beaa60f484260a2f17f3f8a");
+      ("eqnx/tiny/no renaming, fu total 4", "2ac33a03cae657895f46f0ad1f8bd6dd");
+      ("espx/tiny/no renaming, window 64", "d5f652706190335abd4720f836adbd1c");
+      ("espx/tiny/no renaming, fu total 4", "4b61eb294fc025710e23bcb4dffde3e2");
+      ("fpx/tiny/no renaming, window 64", "6557be07469c7570b841d3644173266c");
+      ("fpx/tiny/no renaming, fu total 4", "2d4fe5e157bdea6b96bce6a71c7706b6");
+      ("mtxx/tiny/no renaming, window 64", "a5373b9fb291fa6b3e66cb24e2d473c2");
+      ("mtxx/tiny/no renaming, fu total 4", "087d9107b53c1906a894a9cc5a30c9e0");
+      ("naskx/tiny/no renaming, window 64", "29c55b653a99d82ba804c2905c3074f2");
+      ("naskx/tiny/no renaming, fu total 4", "c8783194e0125b4751f7c80057db4944");
+      ("spicex/tiny/no renaming, window 64", "c4d121447c61caa96525dd5eb9b08455");
+      ("spicex/tiny/no renaming, fu total 4", "eeb8c7fcb11a48e4e783dc51be900aad");
+      ("tomcx/tiny/no renaming, window 64", "f8db15e118ce9e40660a79e01c56879f");
+      ("tomcx/tiny/no renaming, fu total 4", "9a94b493793d8d4cdf27d438d6bbcf8f");
+      ("xlispx/tiny/no renaming, window 64", "122abdf12aeb68f7b7ba0b6c38f20295");
+      ("xlispx/tiny/no renaming, fu total 4", "8cf5de87af6a54877163b9e6c4ddeb0f") ]
 
 let test_recorded_digests () =
   let digest s = Digest.to_hex (Digest.string (Stats_codec.to_string s)) in
@@ -622,6 +709,195 @@ let test_recorded_digests () =
   check_cells ~record:false
     (Option.get (Ddg_workloads.Registry.find "cc1x"))
     Ddg_workloads.Workload.Default [ "base"; "window 64" ]
+
+(* --- recorded explicit graphs -------------------------------------------------
+
+   The MD5 of each explicit DDG's nodes (trace index, pc, class tag,
+   destination, level), its true-data and storage edges in order and its
+   critical path, recorded from the explicit builder that kept its own
+   hashed live well before it became a client of the kernel. Control
+   edges are left out: which node a control edge starts from was
+   corrected since (the tests below). *)
+
+let graph_configs =
+  [ "base"; "optimistic"; "no renaming"; "window 64"; "no renaming, window 64";
+    "fu 6/int 3/mem 2"; "2-bit(10)" ]
+
+let recorded_graphs =
+  [ ("cc1x/base", "0a81597b3fb6586651f2cb9b59cb22e6");
+    ("cc1x/optimistic", "6f89b710a387a67ed341230021c2df3a");
+    ("cc1x/no renaming", "3718a4a63f1cfb6050efa62238cdd6a9");
+    ("cc1x/window 64", "d03f1a5c1999e59ee146f36e63b85a9f");
+    ("cc1x/no renaming, window 64", "caa5dd0fe8acfea39e1e1f676259b6a7");
+    ("cc1x/fu 6/int 3/mem 2", "4fe6d7e377d97cfc4fdf9b8b97c278f0");
+    ("cc1x/2-bit(10)", "865f0e17f104e9007b1aa4dffa8d2d9c");
+    ("doducx/base", "126fc33d0aeb18048b1c95f6aa270fe9");
+    ("doducx/optimistic", "63ad9f89d46e87f950f5ab3ace13d26a");
+    ("doducx/no renaming", "1a81bd5ac7695dfce8bd61aead493c57");
+    ("doducx/window 64", "d88c35feeb2cf4fe522d7db5da8d76dc");
+    ("doducx/no renaming, window 64", "4033b002e0bebd57b597a65f5ab8c1df");
+    ("doducx/fu 6/int 3/mem 2", "96654de674eb570db7e57c35a4525888");
+    ("doducx/2-bit(10)", "42942058ca4592f6c6d65e4bb866601e");
+    ("eqnx/base", "a3d646a069c8b4cab89e84305911459d");
+    ("eqnx/optimistic", "36cf8e675a01e052ace45ef7644dbb24");
+    ("eqnx/no renaming", "1611e6162f79c1628372e8de61add907");
+    ("eqnx/window 64", "a7bd87def0cae3d88f71058ddb04188a");
+    ("eqnx/no renaming, window 64", "699096eed20b2b60cc97a28f1922c10e");
+    ("eqnx/fu 6/int 3/mem 2", "6020545b8873c059ea034cf83d1f924d");
+    ("eqnx/2-bit(10)", "e0e6e2c9c5af94908af59429bf25c74a");
+    ("espx/base", "1d1c371edb6bd64732d7d95a4a679eb4");
+    ("espx/optimistic", "0958765ed74fb70b4e7b35a9b5fe90e7");
+    ("espx/no renaming", "840f2584949ba05c8ac3eecca7394bdd");
+    ("espx/window 64", "5e27b5fdf132d2044c17af7484afa899");
+    ("espx/no renaming, window 64", "663f89d7702bc3a378d28780d27270e7");
+    ("espx/fu 6/int 3/mem 2", "0f26606a8885956f1cb7b5b57527aa0b");
+    ("espx/2-bit(10)", "859352e3f00242ef2c5fd108c1b845a2");
+    ("fpx/base", "430719fe564fd39535b6bb7814a0cda4");
+    ("fpx/optimistic", "07ba261576a72555d43863a74f6a7d20");
+    ("fpx/no renaming", "e6a608a6a60fb97dd513c5d4b1323c9d");
+    ("fpx/window 64", "d853d86f832be462f01a9e58c13be7c8");
+    ("fpx/no renaming, window 64", "8fb59b40e1121d81c9244f48eebb3979");
+    ("fpx/fu 6/int 3/mem 2", "9bba1c1704f9fe592af7db09f9ad64cc");
+    ("fpx/2-bit(10)", "5d610d05dae22f06d59c6dd1531c36d9");
+    ("mtxx/base", "aea838df4d8c09504d035eb3f0ead5e6");
+    ("mtxx/optimistic", "dfee0f534a77beabc2365afe44e2425e");
+    ("mtxx/no renaming", "c32bda13c6482d624a1d88a888ff4707");
+    ("mtxx/window 64", "c70f4a668b51ce7a0084bc691fba57e0");
+    ("mtxx/no renaming, window 64", "0c9ca914a6e60dd804504115e8a201e1");
+    ("mtxx/fu 6/int 3/mem 2", "6d8c0eba2f7044f164690457aeac7328");
+    ("mtxx/2-bit(10)", "d21bcd8354e12a2ca3c1ca3202319bf8");
+    ("naskx/base", "5800a56806dfb06f1a357e9ea4d5f35d");
+    ("naskx/optimistic", "9292dd4e944cbd029faec066198f37b0");
+    ("naskx/no renaming", "305a86fb886009dfabe3b0abbc272016");
+    ("naskx/window 64", "304c3502ade8e14d0fd9521d09a6a5eb");
+    ("naskx/no renaming, window 64", "a816e0409af971551465ece99339236d");
+    ("naskx/fu 6/int 3/mem 2", "78a78a71605c7f52712fadfabcd33beb");
+    ("naskx/2-bit(10)", "998e8d7232e9a74ebe6c48809ca8055e");
+    ("spicex/base", "76dcd267c4f316e6b6effa3f69624134");
+    ("spicex/optimistic", "1f2deb24f33f46538ffa70587b812b5b");
+    ("spicex/no renaming", "0f3dfd6c8883d69fbf65e4540a40590a");
+    ("spicex/window 64", "7f5d7925b80f26ecb8ec0197cdedaf8f");
+    ("spicex/no renaming, window 64", "f77d894433bcfbc28893014e779672b3");
+    ("spicex/fu 6/int 3/mem 2", "46e07ece88ed359689ea62c9c8dccb52");
+    ("spicex/2-bit(10)", "257b0a840630c1057473e03357ebf892");
+    ("tomcx/base", "3f3350d186c7cd1547eb516361598b5e");
+    ("tomcx/optimistic", "ed8ffbc480137ffa8a0b6c79a716720e");
+    ("tomcx/no renaming", "70bbdc025a6ef81513e781f257fe86a9");
+    ("tomcx/window 64", "b2c10f7dc0df57565e223021f1f6ef7c");
+    ("tomcx/no renaming, window 64", "9212c3926c67b73434c6918706cbdd39");
+    ("tomcx/fu 6/int 3/mem 2", "89a98e65a5622d1294303b790fd45c05");
+    ("tomcx/2-bit(10)", "d69e8d24dc7dd9edbdc53b4265e008f3");
+    ("xlispx/base", "5dd6c208f8e727f8fdec44cab310732c");
+    ("xlispx/optimistic", "640b73b892377b134794e1dc75a71384");
+    ("xlispx/no renaming", "072c8825504a19ce14bcc8932d264c70");
+    ("xlispx/window 64", "56c8a774a0a9cd721a202d46b9aa8ed0");
+    ("xlispx/no renaming, window 64", "b8c16ae748952f201c44dbcd9ca5c4e9");
+    ("xlispx/fu 6/int 3/mem 2", "c27d12dc990ae2e1e4d88ecc511a4438");
+    ("xlispx/2-bit(10)", "1be68cf670e05ca593280e46f44e236e") ]
+
+let graph_digest ddg =
+  let b = Buffer.create 4096 in
+  Array.iter
+    (fun (n : Ddg.node) ->
+      Printf.bprintf b "%d %d %d %s %d\n" n.trace_index n.pc
+        (Opclass.to_tag n.op_class)
+        (match n.dest with Some d -> Loc.to_string d | None -> "-")
+        n.level)
+    (Ddg.nodes ddg);
+  List.iter
+    (fun (e : Ddg.edge) ->
+      match e.kind with
+      | Ddg.True_data -> Printf.bprintf b "d %d %d\n" e.from_node e.to_node
+      | Ddg.Storage -> Printf.bprintf b "s %d %d\n" e.from_node e.to_node
+      | Ddg.Control -> ())
+    (Ddg.edges ddg);
+  Printf.bprintf b "cp %d\n" (Ddg.critical_path ddg);
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_recorded_graphs () =
+  List.iter
+    (fun (w : Ddg_workloads.Workload.t) ->
+      let _, trace =
+        Ddg_workloads.Workload.trace w Ddg_workloads.Workload.Tiny
+      in
+      List.iter
+        (fun name ->
+          let cell = w.name ^ "/" ^ name in
+          Alcotest.(check string) cell (List.assoc cell recorded_graphs)
+            (graph_digest (Ddg.build (List.assoc name digest_configs) trace)))
+        graph_configs)
+    Ddg_workloads.Registry.all
+
+(* --- which node a control edge comes from ----------------------------------- *)
+
+let events es =
+  Trace.of_list
+    (List.mapi
+       (fun pc (op_class, dest, srcs, branch) ->
+         { Trace.pc; op_class; dest; srcs; branch })
+       es)
+
+let reg i = Some (Loc.Reg i)
+
+let control_edges ddg =
+  List.filter_map
+    (fun (e : Ddg.edge) ->
+      if e.kind = Ddg.Control then Some (e.from_node, e.to_node) else None)
+    (Ddg.edges ddg)
+
+let chain_ids ddg =
+  List.map (fun (n : Ddg.node) -> n.id) (Ddg.critical_chain ddg)
+
+let check_control ddg edge =
+  Alcotest.(check bool)
+    (Printf.sprintf "control edge %d -> %d" (fst edge) (snd edge))
+    true
+    (List.mem edge (control_edges ddg))
+
+let test_control_syscall () =
+  (* syscall; li r1; div r2 <- r1; syscall: the second syscall waits for
+     the divide, the deepest node, not for the first syscall *)
+  let ddg =
+    Ddg.build Config.default
+      (events
+         [ (Opclass.Syscall, None, [], None);
+           (Opclass.Int_alu, reg 1, [], None);
+           (Opclass.Int_divide, reg 2, [ Loc.Reg 1 ], None);
+           (Opclass.Syscall, None, [], None) ])
+  in
+  check_control ddg (2, 3);
+  Alcotest.(check (list int)) "chain" [ 0; 1; 2; 3 ] (chain_ids ddg)
+
+let test_control_mispredict () =
+  (* li r1; div r2 <- r1; branch on r2 (not taken, predicted taken);
+     li r3: the branch resolves after the divide, which holds li r3 *)
+  let ddg =
+    Ddg.build
+      Config.(with_branch Predict_taken dataflow)
+      (events
+         [ (Opclass.Int_alu, reg 1, [], None);
+           (Opclass.Int_divide, reg 2, [ Loc.Reg 1 ], None);
+           (Opclass.Control, None, [ Loc.Reg 2 ], Some { Trace.taken = false });
+           (Opclass.Int_alu, reg 3, [], None) ])
+  in
+  check_control ddg (1, 2);
+  Alcotest.(check (list int)) "chain" [ 0; 1; 2 ] (chain_ids ddg)
+
+let test_control_preexisting () =
+  (* div r6; lw r5 <- r4, [data_base] under a window of one: the load's
+     pre-existing sources materialise at the divide's level, so the
+     divide, displaced from the window, holds the load *)
+  let ddg =
+    Ddg.build
+      Config.(with_window (Some 1) dataflow)
+      (events
+         [ (Opclass.Int_divide, reg 6, [], None);
+           ( Opclass.Load_store,
+             reg 5,
+             [ Loc.Reg 4; Loc.Mem Segment.data_base ],
+             None ) ])
+  in
+  check_control ddg (0, 1)
 
 let tests =
   [ Alcotest.test_case "figure 1: dataflow DDG" `Quick test_figure1;
@@ -674,4 +950,12 @@ let tests =
     Alcotest.test_case "2-bit predictor learns" `Quick test_two_bit_learns;
     Alcotest.test_case "config describe" `Quick test_describe;
     Alcotest.test_case "stats bytes match the recorded digests" `Quick
-      test_recorded_digests ]
+      test_recorded_digests;
+    Alcotest.test_case "explicit DDG matches the recorded digests" `Quick
+      test_recorded_graphs;
+    Alcotest.test_case "control edge: a syscall waits for the deepest node"
+      `Quick test_control_syscall;
+    Alcotest.test_case "control edge: a mispredicted branch's source"
+      `Quick test_control_mispredict;
+    Alcotest.test_case "control edge: pre-existing sources at the firewall"
+      `Quick test_control_preexisting ]

@@ -1,8 +1,10 @@
 (* Property-based tests (qcheck, registered as alcotest cases).
 
-   The central property: the streaming analyzer and the explicit DDG
-   builder implement the same placement semantics, checked on arbitrary
-   traces under arbitrary switch combinations. Plus invariants on
+   The central properties, on arbitrary traces: the explicit DDG
+   builder, which reads every level from the analyzer's kernel,
+   reproduces the streaming analyzer's critical path and profile under
+   arbitrary switch combinations, and under full renaming its edges
+   account for every level of its critical chain. Plus invariants on
    monotonicity (more renaming / larger windows never reduce available
    parallelism), profile mass conservation, window width bounds, and the
    Dist/Profile containers. *)
@@ -123,12 +125,11 @@ let gen_config =
 
 let arb_config = QCheck.make gen_config ~print:Config.describe
 
+let print_case (es, c) =
+  Config.describe c ^ "\n" ^ String.concat "\n" (List.map print_event es)
+
 let arb_trace_and_config =
-  QCheck.make
-    QCheck.Gen.(pair gen_trace gen_config)
-    ~print:(fun (es, c) ->
-      Config.describe c ^ "\n"
-      ^ String.concat "\n" (List.map print_event es))
+  QCheck.make QCheck.Gen.(pair gen_trace gen_config) ~print:print_case
 
 (* --- properties ------------------------------------------------------------ *)
 
@@ -149,6 +150,36 @@ let prop_analyzer_matches_ddg =
       stats.critical_path = Ddg.critical_path ddg
       && stats.placed_ops = Array.length (Ddg.nodes ddg)
       && profile_ok)
+
+(* With every class renamed and no FU limits, nothing but true data and
+   the firewalls places a node, so a critical chain that follows the
+   right edges climbs by exactly each node's latency. *)
+let prop_critical_chain_tight =
+  let gen =
+    let open QCheck.Gen in
+    let* syscall_stall = bool in
+    let* window = oneofl [ None; Some 1; Some 2; Some 5; Some 16 ] in
+    let* branch =
+      oneofl
+        [ Config.Perfect; Config.Predict_taken; Config.Predict_not_taken;
+          Config.Two_bit 4 ]
+    in
+    return { Config.default with syscall_stall; window; branch }
+  in
+  QCheck.Test.make ~name:"critical chain is tight" ~count:300
+    (QCheck.make QCheck.Gen.(pair gen_trace gen) ~print:print_case)
+    (fun (events, config) ->
+      let ddg = Ddg.build config (Trace.of_list events) in
+      let lat (n : Ddg.node) = config.latency n.op_class in
+      let rec climbs = function
+        | (a : Ddg.node) :: ((b : Ddg.node) :: _ as rest) ->
+            b.level = a.level + lat b && climbs rest
+        | [ last ] -> last.level = Ddg.critical_path ddg - 1
+        | [] -> Ddg.critical_path ddg = 0
+      in
+      match Ddg.critical_chain ddg with
+      | root :: _ as chain -> root.level = lat root - 1 && climbs chain
+      | [] -> climbs [])
 
 let analyze config events =
   Analyzer.analyze config (Trace.of_list events)
@@ -476,4 +507,5 @@ let tests =
       prop_dist_invariants;
       prop_profile_coalescing;
       prop_profile_series_sums;
-      prop_window_fifo ]
+      prop_window_fifo;
+      prop_critical_chain_tight ]
