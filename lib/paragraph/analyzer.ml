@@ -116,7 +116,7 @@ let feed_span (config : Config.t) =
    The one placement engine. A kernel holds N independent analyzer
    states and is fed row ranges of trace columns: [analyze] feeds one
    state the whole packed or mapped trace, [analyze_many] a group of up
-   to eight, [analyze_stream] each read window of a flat file, and
+   to eight, [analyze_stream] each window of a mapped flat file, and
    {!Two_pass} and {!Ddg.build} one row at a time. Interleaving
    N separate live wells would thrash the cache (each state's table is a
    disjoint random-access region), so the kernel keeps a {e banked,
@@ -617,18 +617,18 @@ let analyze config trace =
   finish_run k
 
 (* Stream a flat trace file through the kernel in bounded memory: each
-   of [Trace_io.stream_file]'s fixed read windows — never a mapping,
-   never a materialised trace — is fed as one row range, so the stats
-   are identical to [analyze config] over the same trace. The
-   storage-class table is rebuilt from the file's location section up
-   front, exactly as the packed trace builds its own on intern. *)
+   of [Trace_io.stream_file]'s windows of the mapped file — never a
+   materialised trace — is fed as one row range, so the stats are
+   identical to [analyze config] over the same trace. The storage-class
+   table is rebuilt from the file's location section up front, exactly
+   as the packed trace builds its own on intern. *)
 let analyze_stream ?verify ?window config path =
   check_config config;
   let k =
     Obs.time (feed_span config) (fun () ->
         Ddg_sim.Trace_io.stream_file ?verify ?window path
-          ~init:(fun (info : Ddg_sim.Trace_io.flat_info) ->
-            let num_locs = Array.length info.fi_locs in
+          ~init:(fun locs ->
+            let num_locs = Array.length locs in
             let classes = Bytes.create num_locs in
             Array.iteri
               (fun id loc ->
@@ -636,7 +636,7 @@ let analyze_stream ?verify ?window config path =
                   (Char.unsafe_chr
                      (Loc.storage_class_tag
                         (Segment.storage_class_of_loc loc))))
-              info.fi_locs;
+              locs;
             create config ~num_locs ~classes)
           ~rows:(fun k (cols : Ddg_sim.Trace.columns) ~extra ->
             feed k cols ~extra ~lo:0 ~hi:cols.n;

@@ -126,12 +126,12 @@ val analyze : Config.t -> Ddg_sim.Trace.t -> stats
 val analyze_stream :
   ?verify:bool -> ?window:int -> Config.t -> string -> stats
 (** Stream a {e flat} (v3) trace file through the kernel in bounded
-    memory via {!Ddg_sim.Trace_io.stream_file}: columns are read through
-    fixed [window]-row buffers, never mapped and never materialised, and
-    each window is fed as one row range, so peak resident memory is the
-    live well plus the windows — independent of trace size. Agrees
-    exactly with {!analyze} of the mapped trace. [verify] is the digest
-    pass (default [true]; structural validation always runs).
+    memory via {!Ddg_sim.Trace_io.stream_file}: the file is mapped, each
+    [window]-row window is validated, fed as one row range and then has
+    its pages released, so peak resident memory is the live well plus
+    about one window — independent of trace size. Agrees exactly with
+    {!analyze} of the mapped trace. [verify] is the digest pass (default
+    [true]; structural validation always runs).
     @raise Ddg_sim.Trace_io.Corrupt on malformed input. *)
 
 val analyze_many :

@@ -212,22 +212,29 @@ let critical_chain (t : t) =
         t.nodes.(0) t.nodes
     in
     let rec walk n acc =
-      match t.incoming.(n.id) with
-      | [] -> List.rev (n :: acc)
-      | preds ->
-          (* level ties break to the chronologically last predecessor *)
-          let best =
+      let preds = t.incoming.(n.id) in
+      (* a storage predecessor bound the node only from one level below
+         it; otherwise the highest true-data or control predecessor did,
+         level ties breaking to the chronologically last *)
+      let binding_storage e =
+        e.kind = Storage && t.nodes.(e.from_node).level = n.level - 1
+      in
+      let best =
+        match List.find_opt binding_storage preds with
+        | Some e -> Some t.nodes.(e.from_node)
+        | None ->
             List.fold_left
               (fun best e ->
                 let cand = t.nodes.(e.from_node) in
                 match best with
                 | Some b when b.level > cand.level -> best
                 | _ -> Some cand)
-              None preds
-          in
-          (match best with
-          | Some b -> walk b (n :: acc)
-          | None -> List.rev (n :: acc))
+              None
+              (List.filter (fun e -> e.kind <> Storage) preds)
+      in
+      match best with
+      | Some b -> walk b (n :: acc)
+      | None -> List.rev (n :: acc)
     in
     List.rev (walk deepest [])
   end

@@ -59,8 +59,10 @@ val predecessors : t -> int -> edge list
 val critical_chain : t -> node list
 (** One maximal dependence chain ending at a deepest node, root first:
     from a node at the maximum level, repeatedly step to the predecessor
-    at the highest level. Useful for diagnosing {e what} limits the
-    parallelism of a trace (loop counters? accumulators? storage reuse?). *)
+    that bound it — a storage predecessor one level below the node, else
+    the true-data or control predecessor at the highest level. Useful
+    for diagnosing {e what} limits the parallelism of a trace (loop
+    counters? accumulators? storage reuse?). *)
 
 val chain_summary : t -> (Ddg_isa.Opclass.t * int) list
 (** Operation-class histogram of {!critical_chain}. *)

@@ -375,9 +375,9 @@ let memory_bytes (t : t) =
 
 (* --- building a trace over existing columns ---------------------------------
 
-   The flat-file decoder (Trace_io format 3) hands back whole column
-   sections — either [Unix.map_file] views of the file or heap Bigarrays
-   read from a channel — and this constructor wraps them as a trace
+   The flat-file reader (Trace_io format 3) hands back whole column
+   sections — [Unix.map_file] views of the file, or empty heap Bigarrays
+   for an empty trace — and this constructor wraps them as a trace
    without copying the event columns. The caller is responsible for the
    columns' structural validity (class tags, id ranges, the extra bit
    matching [extra]); only the small side tables are re-derived and

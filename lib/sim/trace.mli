@@ -157,14 +157,14 @@ val of_parts :
   marks:(int * Ddg_isa.Insn.mark * int) array ->
   t
 (** Wrap existing column Bigarrays as a trace {e without copying them} —
-    the flat-file decoder's constructor, handing over either
-    [Unix.map_file] views or heap columns it just read. [extra] lists
-    the overflow source rows as [(row, ids)]; [marks] are
-    [(pos, kind, loop)] in non-decreasing position order. The interner
-    is rebuilt from [locs] (ids are array indices). The caller must have
-    validated the columns structurally (class tags, id ranges, the extra
-    bit); appending to the result copies the columns to the heap first
-    (copy-on-grow), so a mapping is never written through.
+    the flat-file reader's constructor, handing over [Unix.map_file]
+    views of the file's columns. [extra] lists the overflow source rows
+    as [(row, ids)]; [marks] are [(pos, kind, loop)] in non-decreasing
+    position order. The interner is rebuilt from [locs] (ids are array
+    indices). The caller must have validated the columns structurally
+    (class tags, id ranges, the extra bit); appending to the result
+    copies the columns to the heap first (copy-on-grow), so a mapping is
+    never written through.
     @raise Invalid_argument on short columns, duplicate locations or
     malformed marks. *)
 

@@ -511,12 +511,20 @@ let parse_header counts =
   in
   layout ~events:(get 0) ~locs:(get 1) ~marks:(get 2) ~aux:(get 3)
 
-let validate_columns ~lay ~extra_tbl (flags : Trace.byte_col)
-    (pcs : Trace.int_col) (dsts : Trace.int_col) (s0 : Trace.int_col)
-    (s1 : Trace.int_col) (s2 : Trace.int_col) =
-  let nlocs = lay.l_locs in
+let check_src ~nlocs i s =
+  if s <> -1 && (s < 0 || s >= nlocs) then
+    corrupt "row %d: bad source id %d" i s
+
+(* Structural validation of rows [lo, hi): class tags, pc signs, id
+   ranges and the overflow bit, so the analyzer's unchecked column reads
+   stay in bounds. Returns how many of those rows carry the overflow
+   bit; the caller checks the total against the overflow rows once,
+   after the last row ([check_overflow_rows]). *)
+let validate_columns ~nlocs ~extra_tbl (c : Trace.columns) ~lo ~hi =
+  let flags = c.flags and pcs = c.pcs and dsts = c.dsts in
+  let s0 = c.src0 and s1 = c.src1 and s2 = c.src2 in
   let nbit7 = ref 0 in
-  for i = 0 to lay.l_events - 1 do
+  for i = lo to hi - 1 do
     let f = Char.code (BA1.unsafe_get flags i) in
     if f land Trace.flags_class_mask > 8 then
       corrupt "row %d: unknown operation class %d" i
@@ -527,26 +535,38 @@ let validate_columns ~lay ~extra_tbl (flags : Trace.byte_col)
        if d < 0 || d >= nlocs then corrupt "row %d: bad destination id %d" i d
      end
      else if d <> -1 then corrupt "row %d: destination id on destless row" i);
-    let check_src s =
-      if s <> -1 && (s < 0 || s >= nlocs) then
-        corrupt "row %d: bad source id %d" i s
-    in
-    check_src s0.{i};
-    check_src s1.{i};
-    check_src s2.{i};
+    check_src ~nlocs i s0.{i};
+    check_src ~nlocs i s1.{i};
+    check_src ~nlocs i s2.{i};
     if f land Trace.flags_extra <> 0 then begin
       incr nbit7;
       if not (Hashtbl.mem extra_tbl i) then
         corrupt "row %d: extra bit with no overflow row" i
     end
   done;
-  if !nbit7 <> Hashtbl.length extra_tbl then
+  !nbit7
+
+let overflow_table extra =
+  let tbl = Hashtbl.create (List.length extra) in
+  List.iter (fun (row, ids) -> Hashtbl.replace tbl row ids) extra;
+  tbl
+
+let check_overflow_rows extra_tbl nbit7 =
+  if nbit7 <> Hashtbl.length extra_tbl then
     corrupt "overflow rows without extra bit"
 
-(* The "small" sections — everything except the six event columns — are
-   read eagerly through [fetch off len]; they are tiny next to the
-   columns for any real trace. *)
-let read_small fetch lay =
+let really_input_string_at ic pos len what =
+  seek_in ic pos;
+  try really_input_string ic len
+  with End_of_file -> corrupt "truncated %s" what
+
+(* The "small" sections of the flat trace at byte [pos] of [ic] —
+   everything except the six event columns — are read eagerly; they are
+   tiny next to the columns for any real trace. *)
+let read_small ic ~pos lay =
+  let fetch off len =
+    really_input_string_at ic (pos + off) len "flat section"
+  in
   let locs = decode_locs (fetch lay.o_locs (8 * lay.l_locs)) lay.l_locs in
   let aux = fetch lay.o_aux lay.l_aux in
   let loops, extra =
@@ -562,20 +582,6 @@ let read_small fetch lay =
         lay.l_marks
   in
   (locs, loops, extra, marks)
-
-let assemble lay (locs, loops, extra, marks) ~flags ~pcs ~dsts ~s0 ~s1 ~s2 =
-  let extra_tbl = Hashtbl.create (List.length extra) in
-  List.iter (fun (row, ids) -> Hashtbl.replace extra_tbl row ids) extra;
-  validate_columns ~lay ~extra_tbl flags pcs dsts s0 s1 s2;
-  try
-    Trace.of_parts ~len:lay.l_events ~flags ~pcs ~dsts ~src0:s0 ~src1:s1
-      ~src2:s2 ~extra ~locs ~loops ~marks
-  with Invalid_argument msg -> corrupt "flat trace rejected: %s" msg
-
-let really_input_string_at ic pos len what =
-  seek_in ic pos;
-  try really_input_string ic len
-  with End_of_file -> corrupt "truncated %s" what
 
 (* Validate header, size and trailer of a flat trace starting at byte
    [pos] of [ic]; optionally verify the content digest (a chunked pass,
@@ -603,9 +609,6 @@ let open_flat ic ~pos ~verify =
   end;
   lay
 
-let fetch_channel ic ~pos off len =
-  really_input_string_at ic (pos + off) len "flat section"
-
 let heap_byte_col n : Trace.byte_col =
   BA1.create Bigarray.char Bigarray.c_layout n
 
@@ -622,83 +625,99 @@ let map_col8 fd ~pos n : Trace.int_col =
     (Unix.map_file fd ~pos:(Int64.of_int pos) Bigarray.int Bigarray.c_layout
        false [| n |])
 
-let map_file ?(verify = true) ?(pos = 0) path =
+(* The one way a flat trace's event columns reach memory: check the
+   header, size, trailer and (with [verify]) digest of the trace at byte
+   [pos] of [path], read the small sections onto the heap, and map the
+   six event columns read-only [MAP_PRIVATE], unvalidated. An empty
+   trace gets empty heap columns. *)
+let map_columns ~verify ~pos path =
   let ic = open_in_bin path in
   Fun.protect
     ~finally:(fun () -> close_in ic)
     (fun () ->
       let lay = open_flat ic ~pos ~verify in
-      let small = read_small (fetch_channel ic ~pos) lay in
+      let small = read_small ic ~pos lay in
       let n = lay.l_events in
-      if n = 0 then
-        assemble lay small ~flags:(heap_byte_col 0) ~pcs:(heap_int_col 0)
-          ~dsts:(heap_int_col 0) ~s0:(heap_int_col 0) ~s1:(heap_int_col 0)
-          ~s2:(heap_int_col 0)
-      else begin
-        let fd =
-          try Unix.openfile path [ Unix.O_RDONLY ] 0
-          with Unix.Unix_error (e, _, _) ->
-            corrupt "cannot open %s: %s" path (Unix.error_message e)
-        in
-        Fun.protect
-          ~finally:(fun () -> Unix.close fd)
-          (fun () ->
-            try
-              let flags = map_col1 fd ~pos:(pos + lay.o_flags) n in
-              let pcs = map_col8 fd ~pos:(pos + lay.o_pcs) n in
-              let dsts = map_col8 fd ~pos:(pos + lay.o_dsts) n in
-              let s0 = map_col8 fd ~pos:(pos + lay.o_src0) n in
-              let s1 = map_col8 fd ~pos:(pos + lay.o_src1) n in
-              let s2 = map_col8 fd ~pos:(pos + lay.o_src2) n in
-              assemble lay small ~flags ~pcs ~dsts ~s0 ~s1 ~s2
-            with
-            | Unix.Unix_error (e, _, _) ->
-                corrupt "cannot map %s: %s" path (Unix.error_message e)
-            | Sys_error msg -> corrupt "cannot map %s: %s" path msg)
-      end)
+      let cols =
+        if n = 0 then
+          { Trace.n; flags = heap_byte_col 0; pcs = heap_int_col 0;
+            dsts = heap_int_col 0; src0 = heap_int_col 0;
+            src1 = heap_int_col 0; src2 = heap_int_col 0 }
+        else
+          let fd = Unix.descr_of_in_channel ic in
+          let col8 off = map_col8 fd ~pos:(pos + off) n in
+          try
+            { Trace.n; flags = map_col1 fd ~pos:(pos + lay.o_flags) n;
+              pcs = col8 lay.o_pcs; dsts = col8 lay.o_dsts;
+              src0 = col8 lay.o_src0; src1 = col8 lay.o_src1;
+              src2 = col8 lay.o_src2 }
+          with
+          | Unix.Unix_error (e, _, _) ->
+              corrupt "cannot map %s: %s" path (Unix.error_message e)
+          | Sys_error msg -> corrupt "cannot map %s: %s" path msg
+      in
+      (lay, small, cols))
 
-(* Sequential in-channel flat read (the magic has been consumed): loads
-   the whole body, so only suitable for traces that fit in memory — the
-   dispatching [read_channel] uses it so v3 bytes work anywhere v1/v2
-   bytes did. *)
-let read_flat_channel ic =
-  let hdr =
-    try really_input_string ic 32
-    with End_of_file -> corrupt "truncated flat header"
-  in
-  let lay = parse_header hdr in
-  let body = Bytes.make lay.o_digest '\000' in
-  Bytes.blit_string magic_v3 0 body 0 8;
-  Bytes.blit_string hdr 0 body 8 32;
-  (try really_input ic body header_bytes (lay.o_digest - header_bytes)
-   with End_of_file -> corrupt "flat trace truncated");
-  let trailer =
-    try really_input_string ic trailer_bytes
-    with End_of_file -> corrupt "truncated flat trailer"
-  in
-  if String.sub trailer 16 8 <> trailer_v3 then corrupt "bad flat trailer";
-  if Digest.bytes body <> String.sub trailer 0 16 then
-    corrupt "flat trace digest mismatch";
-  let fetch off len = Bytes.sub_string body off len in
-  let small = read_small fetch lay in
-  let n = lay.l_events in
-  let flags = heap_byte_col n in
-  let pcs = heap_int_col n
-  and dsts = heap_int_col n
-  and s0 = heap_int_col n
-  and s1 = heap_int_col n
-  and s2 = heap_int_col n in
-  for i = 0 to n - 1 do
-    BA1.unsafe_set flags i (Bytes.unsafe_get body (lay.o_flags + i));
-    pcs.{i} <- Int64.to_int (Bytes.get_int64_le body (lay.o_pcs + (8 * i)));
-    dsts.{i} <- Int64.to_int (Bytes.get_int64_le body (lay.o_dsts + (8 * i)));
-    s0.{i} <- Int64.to_int (Bytes.get_int64_le body (lay.o_src0 + (8 * i)));
-    s1.{i} <- Int64.to_int (Bytes.get_int64_le body (lay.o_src1 + (8 * i)));
-    s2.{i} <- Int64.to_int (Bytes.get_int64_le body (lay.o_src2 + (8 * i)))
+let map_file ?(verify = true) ?(pos = 0) path =
+  let lay, (locs, loops, extra, marks), cols = map_columns ~verify ~pos path in
+  let extra_tbl = overflow_table extra in
+  check_overflow_rows extra_tbl
+    (validate_columns ~nlocs:lay.l_locs ~extra_tbl cols ~lo:0 ~hi:cols.n);
+  try
+    Trace.of_parts ~len:cols.n ~flags:cols.flags ~pcs:cols.pcs
+      ~dsts:cols.dsts ~src0:cols.src0 ~src1:cols.src1 ~src2:cols.src2 ~extra
+      ~locs ~loops ~marks
+  with Invalid_argument msg -> corrupt "flat trace rejected: %s" msg
+
+(* --- bounded-memory streaming read ------------------------------------------- *)
+
+(* madvise(MADV_DONTNEED) over the whole pages of bytes [off, off + len)
+   of a mapped column (trace_io_stubs.c) *)
+external release_pages : ('a, 'b, 'c) BA1.t -> int -> int -> unit
+  = "ddg_trace_io_release_pages"
+[@@noalloc]
+
+(* The mapping of [map_file], consumed one window at a time: each
+   window's rows are validated, handed to [rows] as sub-views, then
+   released, so resident memory stays near one window whatever the
+   trace's size. Releasing is safe because the mapping is private and
+   never written: a later touch re-faults a page from the file. *)
+let stream_file ?(verify = true) ?(window = 65536) path ~init ~rows =
+  if window < 1 then invalid_arg "Trace_io.stream_file: window";
+  let lay, (locs, _, extra, _), cols = map_columns ~verify ~pos:0 path in
+  let extra_tbl = overflow_table extra in
+  let acc = ref (init locs) in
+  let nbit7 = ref 0 in
+  let next = ref 0 in
+  while !next < cols.n do
+    let base = !next in
+    let w = min window (cols.n - base) in
+    nbit7 :=
+      !nbit7
+      + validate_columns ~nlocs:lay.l_locs ~extra_tbl cols ~lo:base
+          ~hi:(base + w);
+    let sub c = BA1.sub c base w in
+    let extra k =
+      match Hashtbl.find_opt extra_tbl (base + k) with
+      | Some ids -> ids
+      | None -> [||]
+    in
+    acc :=
+      rows !acc
+        { Trace.n = w; flags = sub cols.flags; pcs = sub cols.pcs;
+          dsts = sub cols.dsts; src0 = sub cols.src0; src1 = sub cols.src1;
+          src2 = sub cols.src2 }
+        ~extra;
+    release_pages cols.flags base w;
+    List.iter
+      (fun c -> release_pages c (8 * base) (8 * w))
+      [ cols.pcs; cols.dsts; cols.src0; cols.src1; cols.src2 ];
+    next := base + w
   done;
-  assemble lay small ~flags ~pcs ~dsts ~s0 ~s1 ~s2
+  check_overflow_rows extra_tbl !nbit7;
+  !acc
 
-(* --- format dispatch --------------------------------------------------------- *)
+(* --- legacy reader and format dispatch --------------------------------------- *)
 
 let check_magic ic =
   let buf = Bytes.create (String.length magic_v1) in
@@ -710,163 +729,46 @@ let check_magic ic =
   | s when s = magic_v3 -> `V3
   | _ -> corrupt "bad magic (not a trace file)"
 
-(* Read straight into the packed columns, interning locations as they
-   stream past, without materialising event records. *)
-let read_channel ic =
-  match check_magic ic with
-  | `V3 -> read_flat_channel ic
-  | (`V1 | `V2) as version ->
-      let trace = Trace.create () in
-      let rec go () =
-        let flags =
-          try input_byte ic with End_of_file -> corrupt "missing terminator"
-        in
-        if flags <> terminator then begin
-          if flags land Trace.flags_class_mask > 8 then
-            corrupt "unknown operation class %d"
-              (flags land Trace.flags_class_mask);
-          let pc = read_varint ic in
-          Trace.start_row trace ~flags:(flags land 0x7F) ~pc;
-          if flags land Trace.flags_has_dest <> 0 then
-            Trace.row_set_dest trace (read_loc ic);
-          let nsrcs = read_varint ic in
-          if nsrcs > 16 then corrupt "implausible source count %d" nsrcs;
-          for _ = 1 to nsrcs do
-            Trace.row_add_src trace (read_loc ic)
-          done;
-          go ()
-        end
-      in
-      go ();
-      if version = `V2 then read_marks_section ic trace;
-      trace
+(* A v1/v2 body (the magic has been consumed), read straight into the
+   packed columns, interning locations as they stream past, without
+   materialising event records. *)
+let read_legacy ic version =
+  let trace = Trace.create () in
+  let rec go () =
+    let flags =
+      try input_byte ic with End_of_file -> corrupt "missing terminator"
+    in
+    if flags <> terminator then begin
+      if flags land Trace.flags_class_mask > 8 then
+        corrupt "unknown operation class %d"
+          (flags land Trace.flags_class_mask);
+      let pc = read_varint ic in
+      Trace.start_row trace ~flags:(flags land 0x7F) ~pc;
+      if flags land Trace.flags_has_dest <> 0 then
+        Trace.row_set_dest trace (read_loc ic);
+      let nsrcs = read_varint ic in
+      if nsrcs > 16 then corrupt "implausible source count %d" nsrcs;
+      for _ = 1 to nsrcs do
+        Trace.row_add_src trace (read_loc ic)
+      done;
+      go ()
+    end
+  in
+  go ();
+  if version = `V2 then read_marks_section ic trace;
+  trace
 
 let read_file path =
   let ic = open_in_bin path in
-  Fun.protect ~finally:(fun () -> close_in ic) (fun () -> read_channel ic)
-
-(* --- bounded-memory streaming read ------------------------------------------- *)
-
-type flat_info = {
-  fi_events : int;
-  fi_locs : Ddg_isa.Loc.t array;
-  fi_loops : Ddg_isa.Loop.t array;
-}
-
-(* Read-windows (not mmap) on purpose: pages touched through a mapping
-   count against the process's resident set, which would defeat the
-   peak-RSS bound this reader exists to honour. Six channels advance in
-   lockstep, one per column, [window] rows at a time; each window is
-   validated, decoded into window-sized columns reused for the next
-   window, and handed to [rows] whole. *)
-let stream_file ?(verify = true) ?(pos = 0) ?(window = 65536) path ~init ~rows
-    =
-  if window < 1 then invalid_arg "Trace_io.stream_file: window";
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let lay = open_flat ic ~pos ~verify in
-      let locs, loops, extra, _marks =
-        read_small (fetch_channel ic ~pos) lay
-      in
-      let extra_tbl = Hashtbl.create (List.length extra) in
-      List.iter (fun (r, ids) -> Hashtbl.replace extra_tbl r ids) extra;
-      let info =
-        { fi_events = lay.l_events; fi_locs = locs; fi_loops = loops }
-      in
-      let acc = ref (init info) in
-      let open_at off =
-        let c = open_in_bin path in
-        seek_in c (pos + off);
-        c
-      in
-      let cf = open_at lay.o_flags in
-      let cp = open_at lay.o_pcs in
-      let cd = open_at lay.o_dsts in
-      let c0 = open_at lay.o_src0 in
-      let c1 = open_at lay.o_src1 in
-      let c2 = open_at lay.o_src2 in
-      Fun.protect
-        ~finally:(fun () ->
-          List.iter close_in_noerr [ cf; cp; cd; c0; c1; c2 ])
-        (fun () ->
-          let bf = Bytes.create window in
-          let bp = Bytes.create (8 * window) in
-          let bd = Bytes.create (8 * window) in
-          let b0 = Bytes.create (8 * window) in
-          let b1 = Bytes.create (8 * window) in
-          let b2 = Bytes.create (8 * window) in
-          let cols =
-            { Trace.n = 0; flags = heap_byte_col window;
-              pcs = heap_int_col window; dsts = heap_int_col window;
-              src0 = heap_int_col window; src1 = heap_int_col window;
-              src2 = heap_int_col window }
-          in
-          let nlocs = lay.l_locs in
-          let nbit7 = ref 0 in
-          let consumed = ref 0 in
-          while !consumed < lay.l_events do
-            let w = min window (lay.l_events - !consumed) in
-            let fill c b len what =
-              try really_input c b 0 len
-              with End_of_file -> corrupt "truncated %s column" what
-            in
-            fill cf bf w "flags";
-            fill cp bp (8 * w) "pc";
-            fill cd bd (8 * w) "dest";
-            fill c0 b0 (8 * w) "src0";
-            fill c1 b1 (8 * w) "src1";
-            fill c2 b2 (8 * w) "src2";
-            for k = 0 to w - 1 do
-              let i = !consumed + k in
-              let f = Char.code (Bytes.unsafe_get bf k) in
-              if f land Trace.flags_class_mask > 8 then
-                corrupt "row %d: unknown operation class %d" i
-                  (f land Trace.flags_class_mask);
-              let pc = Int64.to_int (Bytes.get_int64_le bp (8 * k)) in
-              if pc < 0 then corrupt "row %d: negative pc" i;
-              let d = Int64.to_int (Bytes.get_int64_le bd (8 * k)) in
-              (if f land Trace.flags_has_dest <> 0 then begin
-                 if d < 0 || d >= nlocs then
-                   corrupt "row %d: bad destination id %d" i d
-               end
-               else if d <> -1 then
-                 corrupt "row %d: destination id on destless row" i);
-              let s0 = Int64.to_int (Bytes.get_int64_le b0 (8 * k)) in
-              let s1 = Int64.to_int (Bytes.get_int64_le b1 (8 * k)) in
-              let s2 = Int64.to_int (Bytes.get_int64_le b2 (8 * k)) in
-              let check_src s =
-                if s <> -1 && (s < 0 || s >= nlocs) then
-                  corrupt "row %d: bad source id %d" i s
-              in
-              check_src s0;
-              check_src s1;
-              check_src s2;
-              if f land Trace.flags_extra <> 0 then begin
-                incr nbit7;
-                if not (Hashtbl.mem extra_tbl i) then
-                  corrupt "row %d: extra bit with no overflow row" i
-              end;
-              BA1.unsafe_set cols.flags k (Bytes.unsafe_get bf k);
-              BA1.unsafe_set cols.pcs k pc;
-              BA1.unsafe_set cols.dsts k d;
-              BA1.unsafe_set cols.src0 k s0;
-              BA1.unsafe_set cols.src1 k s1;
-              BA1.unsafe_set cols.src2 k s2
-            done;
-            let base = !consumed in
-            let extra k =
-              match Hashtbl.find_opt extra_tbl (base + k) with
-              | Some ids -> ids
-              | None -> [||]
-            in
-            acc := rows !acc { cols with n = w } ~extra;
-            consumed := !consumed + w
-          done;
-          if !nbit7 <> Hashtbl.length extra_tbl then
-            corrupt "overflow rows without extra bit";
-          !acc))
+  let legacy =
+    Fun.protect
+      ~finally:(fun () -> close_in ic)
+      (fun () ->
+        match check_magic ic with
+        | `V3 -> None
+        | (`V1 | `V2) as version -> Some (read_legacy ic version))
+  in
+  match legacy with Some trace -> trace | None -> map_file path
 
 (* --- streaming flat writer ---------------------------------------------------
 

@@ -36,12 +36,13 @@
     trailer: the MD5 digest of everything before it, then ["DDGTRC3E"].
     Sections are zero-padded to 8-byte alignment. See DESIGN.md §15.
 
-    All readers accept all three versions ({!read_channel} converts v1/v2
-    on the fly); the v3-only entry points ({!map_file}, {!stream_file})
-    exist for the zero-copy and bounded-memory paths. Readers validate
-    structurally before handing columns to the analyzer — class tags,
-    id ranges, pc signs, the overflow bit — so a hostile file yields
-    {!Corrupt}, never an out-of-bounds access. *)
+    {!read_file} accepts all three versions: it converts v1/v2 on the
+    fly and maps v3. The event columns of a v3 file reach memory only
+    through that mapping — {!map_file} hands over the whole of it,
+    {!stream_file} one window at a time. Readers validate structurally
+    before handing columns to the analyzer — class tags, id ranges, pc
+    signs, the overflow bit — so a hostile file yields {!Corrupt}, never
+    an out-of-bounds access. *)
 
 exception Corrupt of string
 (** Raised by the readers on malformed input. *)
@@ -57,13 +58,12 @@ val write_channel : out_channel -> Trace.t -> unit
 
 val write_file : string -> Trace.t -> unit
 
-val read_channel : in_channel -> Trace.t
-(** Reads any version; v1/v2 are converted to the packed representation
-    on the fly, v3 is loaded eagerly (use {!map_file} for zero-copy).
-    @raise Corrupt *)
-
 val read_file : string -> Trace.t
-(** @raise Corrupt @raise Sys_error *)
+(** Reads any version. v1/v2 are converted to the packed representation
+    on the fly; v3 is [map_file path], digest checked, so the returned
+    trace holds the file's pages for its lifetime as {!map_file}
+    describes.
+    @raise Corrupt @raise Sys_error *)
 
 (** {1 Flat format (version 3)} *)
 
@@ -91,33 +91,26 @@ val map_file : ?verify:bool -> ?pos:int -> string -> Trace.t
     first; a mapping is never written through.
     @raise Corrupt @raise Sys_error *)
 
-type flat_info = {
-  fi_events : int;
-  fi_locs : Ddg_isa.Loc.t array;  (** the location table; ids are indices *)
-  fi_loops : Ddg_isa.Loop.t array;
-}
-(** What {!stream_file} tells the consumer before the first row. *)
-
 val stream_file :
   ?verify:bool ->
-  ?pos:int ->
   ?window:int ->
   string ->
-  init:(flat_info -> 'a) ->
+  init:(Ddg_isa.Loc.t array -> 'a) ->
   rows:('a -> Trace.columns -> extra:(int -> int array) -> 'a) ->
   'a
-(** Fold over a flat trace file in bounded memory, one read window at a
-    time: columns are read through fixed [window]-row buffers (default
-    65536), never mapped and never materialised, so peak resident memory
-    is [O(window + locations)] regardless of trace size. Each window
-    arrives as a {!Trace.columns} value of [n <= window] rows over
-    window-sized Bigarrays (valid only until [rows] returns; the next
-    window reuses them), structurally validated exactly as {!map_file}
-    would hand them to the analyzer: operand columns hold location ids,
-    [-1] when absent, and [extra k] gives the fourth and later sources
-    of the window's row [k] when its flags carry {!Trace.flags_extra}.
-    Marks are not replayed — callers that need them read tiny sidecars
-    via {!map_file} semantics instead.
+(** Fold over a flat trace file in bounded memory, one window of
+    [window] rows (default 65536) at a time. The file is mapped as by
+    {!map_file}, and [init] receives its location table (ids are
+    indices) before the first row. Each window is structurally validated
+    exactly as {!map_file} validates the whole trace, then handed to
+    [rows] as a {!Trace.columns} of [n <= window] rows over sub-views of
+    the mapping: operand columns hold location ids, [-1] when absent,
+    and [extra k] gives the fourth and later sources of the window's row
+    [k] when its flags carry {!Trace.flags_extra}. When [rows] returns,
+    the window's pages are released ([madvise(MADV_DONTNEED)]), so peak
+    resident memory is [O(window + locations)] regardless of trace size;
+    a view kept past that still reads correctly, re-faulting its pages
+    from the file. Marks and loop descriptors are not replayed.
     @raise Corrupt *)
 
 (** {2 Streaming flat writer}

@@ -899,6 +899,25 @@ let test_control_preexisting () =
   in
   check_control ddg (0, 1)
 
+let test_chain_storage_binds () =
+  (* div r2 <- r1, r6; mul r4; div r2 <- r4, r5 with registers not
+     renamed: the second divide sits at 17, the multiply's 5 plus its
+     12; its storage predecessor, the first divide at 11, did not bind
+     it, so the chain runs through the multiply *)
+  let config =
+    Config.(with_renaming { rename_all with registers = false } default)
+  in
+  let ddg =
+    Ddg.build config
+      (events
+         [ (Opclass.Int_divide, reg 2, [ Loc.Reg 1; Loc.Reg 6 ], None);
+           (Opclass.Int_multiply, reg 4, [], None);
+           (Opclass.Int_divide, reg 2, [ Loc.Reg 4; Loc.Reg 5 ], None) ])
+  in
+  Alcotest.(check (list int)) "levels" [ 11; 5; 17 ]
+    (List.map (fun (n : Ddg.node) -> n.level) (Array.to_list (Ddg.nodes ddg)));
+  Alcotest.(check (list int)) "chain" [ 1; 2 ] (chain_ids ddg)
+
 let tests =
   [ Alcotest.test_case "figure 1: dataflow DDG" `Quick test_figure1;
     Alcotest.test_case "figure 2 renamed = figure 1" `Quick
@@ -958,4 +977,6 @@ let tests =
     Alcotest.test_case "control edge: a mispredicted branch's source"
       `Quick test_control_mispredict;
     Alcotest.test_case "control edge: pre-existing sources at the firewall"
-      `Quick test_control_preexisting ]
+      `Quick test_control_preexisting;
+    Alcotest.test_case "critical chain skips a storage edge that did not bind"
+      `Quick test_chain_storage_binds ]

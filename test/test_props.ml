@@ -90,7 +90,8 @@ let print_event e = Format.asprintf "%a" Trace.pp_event e
 let gen_trace = QCheck.Gen.list_size (QCheck.Gen.int_range 0 120) gen_event
 
 let arb_trace =
-  QCheck.make gen_trace ~print:(fun es -> String.concat "\n" (List.map print_event es))
+  QCheck.make gen_trace ~shrink:QCheck.Shrink.list
+    ~print:(fun es -> String.concat "\n" (List.map print_event es))
 
 (* --- random configs ------------------------------------------------------- *)
 
@@ -128,8 +129,12 @@ let arb_config = QCheck.make gen_config ~print:Config.describe
 let print_case (es, c) =
   Config.describe c ^ "\n" ^ String.concat "\n" (List.map print_event es)
 
+(* a failing case shrinks by dropping events; its config stays as drawn *)
+let shrink_case = QCheck.Shrink.(pair list nil)
+
 let arb_trace_and_config =
-  QCheck.make QCheck.Gen.(pair gen_trace gen_config) ~print:print_case
+  QCheck.make QCheck.Gen.(pair gen_trace gen_config) ~shrink:shrink_case
+    ~print:print_case
 
 (* --- properties ------------------------------------------------------------ *)
 
@@ -151,12 +156,14 @@ let prop_analyzer_matches_ddg =
       && stats.placed_ops = Array.length (Ddg.nodes ddg)
       && profile_ok)
 
-(* With every class renamed and no FU limits, nothing but true data and
-   the firewalls places a node, so a critical chain that follows the
-   right edges climbs by exactly each node's latency. *)
+(* With no FU limits, nothing but true data, storage reuse and the
+   firewalls places a node, so a critical chain that follows the edges
+   that bound each node climbs by exactly each node's latency, or by one
+   along a storage edge. *)
 let prop_critical_chain_tight =
   let gen =
     let open QCheck.Gen in
+    let* registers = bool and* stack = bool and* data = bool in
     let* syscall_stall = bool in
     let* window = oneofl [ None; Some 1; Some 2; Some 5; Some 16 ] in
     let* branch =
@@ -164,16 +171,29 @@ let prop_critical_chain_tight =
         [ Config.Perfect; Config.Predict_taken; Config.Predict_not_taken;
           Config.Two_bit 4 ]
     in
-    return { Config.default with syscall_stall; window; branch }
+    return
+      { Config.default with
+        renaming = { Config.registers; stack; data };
+        syscall_stall;
+        window;
+        branch }
   in
   QCheck.Test.make ~name:"critical chain is tight" ~count:300
-    (QCheck.make QCheck.Gen.(pair gen_trace gen) ~print:print_case)
+    (QCheck.make QCheck.Gen.(pair gen_trace gen) ~shrink:shrink_case
+       ~print:print_case)
     (fun (events, config) ->
       let ddg = Ddg.build config (Trace.of_list events) in
       let lat (n : Ddg.node) = config.latency n.op_class in
+      let step (a : Ddg.node) (b : Ddg.node) =
+        List.exists
+          (fun (e : Ddg.edge) ->
+            e.from_node = a.id
+            && b.level = a.level + if e.kind = Ddg.Storage then 1 else lat b)
+          (Ddg.predecessors ddg b.id)
+      in
       let rec climbs = function
         | (a : Ddg.node) :: ((b : Ddg.node) :: _ as rest) ->
-            b.level = a.level + lat b && climbs rest
+            step a b && climbs rest
         | [ last ] -> last.level = Ddg.critical_path ddg - 1
         | [] -> Ddg.critical_path ddg = 0
       in

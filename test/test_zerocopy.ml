@@ -260,7 +260,7 @@ let test_flat_truncation_typed () =
             write_bytes cut_path (String.sub bytes 0 cut);
             match
               Trace_io.stream_file ~verify:false cut_path
-                ~init:(fun (_ : Trace_io.flat_info) -> 0)
+                ~init:(fun (_ : Loc.t array) -> 0)
                 ~rows:(fun acc (cols : Trace.columns) ~extra:_ -> acc + cols.n)
             with
             | (_ : int) ->
@@ -333,6 +333,44 @@ let test_flat_hole_typed () =
           match Trace_io.map_file hole_path with
           | (_ : Trace.t) -> Alcotest.fail "mid-file hole accepted"
           | exception Trace_io.Corrupt _ -> ()))
+
+(* An operand id equal to the location count is out of range (the
+   kernel reads its tables unchecked), in a source column and in a
+   destination column alike. The corrupt row is the last row of a
+   stream window, so a stream that stops validating short of a window's
+   end lets it through. *)
+let test_operand_id_bound_typed () =
+  let t = sample_trace () in
+  with_temp_file (fun path ->
+      Trace_io.write_file_flat path t;
+      let bytes = read_bytes path in
+      let word off = Int64.to_int (String.get_int64_le bytes off) in
+      let events = word 8 and nlocs = word 16 in
+      let o_dsts = 40 + ((events + 7) land lnot 7) + (8 * events) in
+      let o_src0 = o_dsts + (8 * events) in
+      let window = 8 in
+      let row = (2 * window) - 1 in
+      let stream path =
+        Trace_io.stream_file ~verify:false ~window path
+          ~init:(fun (_ : Loc.t array) -> 0)
+          ~rows:(fun acc (cols : Trace.columns) ~extra:_ -> acc + cols.n)
+      in
+      Alcotest.(check int) "the intact file streams" events (stream path);
+      with_temp_file (fun bad_path ->
+          List.iter
+            (fun (column, off) ->
+              let b = Bytes.of_string bytes in
+              Bytes.set_int64_le b (off + (8 * row)) (Int64.of_int nlocs);
+              write_bytes bad_path (Bytes.to_string b);
+              (match Trace_io.map_file ~verify:false bad_path with
+              | (_ : Trace.t) ->
+                  Alcotest.failf "map_file accepted %s id %d" column nlocs
+              | exception Trace_io.Corrupt _ -> ());
+              match stream bad_path with
+              | (_ : int) ->
+                  Alcotest.failf "stream_file accepted %s id %d" column nlocs
+              | exception Trace_io.Corrupt _ -> ())
+            [ ("src0", o_src0); ("destination", o_dsts) ]))
 
 (* --- store: quarantine and view lifetime -------------------------------------- *)
 
@@ -452,7 +490,7 @@ let test_bounded_memory_stream () =
           let worst = ref 0 in
           let rows =
             Trace_io.stream_file ~verify:false path
-              ~init:(fun (_ : Trace_io.flat_info) -> 0)
+              ~init:(fun (_ : Loc.t array) -> 0)
               ~rows:(fun n (cols : Trace.columns) ~extra:_ ->
                 (* one sample per 64 Ki-row read window *)
                 let live = (Gc.quick_stat ()).Gc.heap_words in
@@ -462,7 +500,10 @@ let test_bounded_memory_stream () =
           Alcotest.(check int) "every row streamed" events rows;
           Alcotest.(check bool) "heap stayed under the ceiling" true
             (!worst <= ceiling);
-          (* the full analyzer over the same file, kernel-measured *)
+          (* the full analyzer over the same file, kernel-measured; the
+             fold's mapping goes first, so its pages do not inflate the
+             re-armed baseline *)
+          Gc.full_major ();
           let armed = Obs.reset_peak_rss () in
           let before = Obs.peak_rss_bytes () in
           let stats = Analyzer.analyze_stream ~verify:false Config.default path in
@@ -614,6 +655,8 @@ let tests =
       test_flat_bitflips_typed;
     Alcotest.test_case "flat mid-file hole fails typed" `Quick
       test_flat_hole_typed;
+    Alcotest.test_case "operand ids at the location count fail typed" `Quick
+      test_operand_id_bound_typed;
     Alcotest.test_case "fsck quarantines a corrupt flat artifact" `Quick
       test_fsck_quarantines_flat_artifact;
     Alcotest.test_case "served view survives concurrent fsck" `Quick
