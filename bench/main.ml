@@ -22,8 +22,8 @@
    --serve-bench spins up the paragraphd daemon on a temp socket and
    measures cold-start analysis (fresh process state) against the
    resident daemon's first and warm repeat requests; the warm repeats
-   must be answered with zero new simulations/analyses (checked over the
-   wire via the stats verb; nonzero exit otherwise). --fault-bench
+   must be answered with zero new simulations/analyses (checked on the
+   daemon's runner; nonzero exit otherwise). --fault-bench
    measures the fault-injection layer itself: the per-probe cost of
    Fault.fire with the injector disabled and with every site armed at
    probability 0, plus a store put+find roundtrip (the hottest
@@ -466,17 +466,14 @@ let run_serve_bench ~size ~workers =
           let n = 25 in
           Printf.eprintf "serve-bench: %d warm repeats\n%!" n;
           let times = List.init n (fun _ -> fst (analyze ())) in
-          (match Client.request client Protocol.Server_stats with
-          | Protocol.Telemetry c ->
-              if c.Protocol.simulations > 1 || c.Protocol.analyses > 1
-              then begin
-                Printf.eprintf
-                  "serve-bench: warm repeats recomputed (%d simulations, %d \
-                   analyses) - the daemon is not serving from its caches\n%!"
-                  c.Protocol.simulations c.Protocol.analyses;
-                exit 1
-              end
-          | _ -> failwith "serve-bench: unexpected stats response");
+          let c = Runner.counters runner in
+          if c.Runner.simulations > 1 || c.Runner.analyses > 1 then begin
+            Printf.eprintf
+              "serve-bench: warm repeats recomputed (%d simulations, %d \
+               analyses) - the daemon is not serving from its caches\n%!"
+              c.Runner.simulations c.Runner.analyses;
+            exit 1
+          end;
           let warm_mean = List.fold_left ( +. ) 0.0 times /. float_of_int n in
           let warm_min = List.fold_left min (List.hd times) times in
           Printf.printf

@@ -1396,71 +1396,16 @@ let client_table_cmd =
 
 let client_stats_cmd =
   let run endpoint retry connect_timeout policy json =
-    client_request endpoint retry connect_timeout policy 0
-      Protocol.Server_stats (function
-      | Protocol.Telemetry c ->
-          if json then
-            print_endline
-              (Ddg_report.Json.to_string
-                 (Ddg_report.Json.Obj
-                    [ ("uptime_s", Float c.Protocol.uptime_s);
-                      ("connections", Int c.connections);
-                      ("requests_total", Int c.requests_total);
-                      ("requests_ok", Int c.requests_ok);
-                      ("requests_error", Int c.requests_error);
-                      ("busy_rejections", Int c.busy_rejections);
-                      ("deadline_expirations", Int c.deadline_expirations);
-                      ("latency_total_s", Float c.latency_total_s);
-                      ("latency_max_s", Float c.latency_max_s);
-                      ( "by_verb",
-                        Obj
-                          (List.map
-                             (fun (verb, n) ->
-                               (verb, Ddg_report.Json.Int n))
-                             c.by_verb) );
-                      ("simulations", Int c.simulations);
-                      ("analyses", Int c.analyses);
-                      ("trace_store_hits", Int c.trace_store_hits);
-                      ("stats_store_hits", Int c.stats_store_hits);
-                      ("trace_mem_hits", Int c.trace_mem_hits);
-                      ("trace_evictions", Int c.trace_evictions);
-                      ("trace_resident_bytes", Int c.trace_resident_bytes);
-                      ("retries_served", Int c.retries_served);
-                      ("worker_respawns", Int c.worker_respawns);
-                      ("artifact_quarantines", Int c.artifact_quarantines);
-                      ("injected_faults", Int c.injected_faults);
-                      ("remote_fetches", Int c.remote_fetches) ]))
-          else begin
-            Format.printf "uptime: %.1fs, connections: %d@."
-              c.Protocol.uptime_s c.connections;
-            Format.printf
-              "requests: %d total, %d ok, %d error (%d busy, %d deadline)@."
-              c.requests_total c.requests_ok c.requests_error
-              c.busy_rejections c.deadline_expirations;
-            Format.printf "latency: %.1f ms mean, %.1f ms max@."
-              (if c.requests_total = 0 then 0.0
-               else 1000.0 *. c.latency_total_s /. float_of_int c.requests_total)
-              (1000.0 *. c.latency_max_s);
-            List.iter
-              (fun (verb, n) -> Format.printf "  %-10s %d@." verb n)
-              c.by_verb;
-            Format.printf
-              "work: %d simulations, %d analyses@." c.simulations c.analyses;
-            Format.printf
-              "caches: %d trace mem hits, %d trace store hits, %d stats \
-               store hits@."
-              c.trace_mem_hits c.trace_store_hits c.stats_store_hits;
-            Format.printf "traces resident: %d bytes, %d evictions@."
-              c.trace_resident_bytes c.trace_evictions;
-            Format.printf
-              "resilience: %d retries served, %d worker respawns, %d \
-               artifacts quarantined, %d faults injected@."
-              c.retries_served c.worker_respawns c.artifact_quarantines
-              c.injected_faults;
-            if c.remote_fetches > 0 then
-              Format.printf "cluster: %d artifacts fetched from peers@."
-                c.remote_fetches
-          end
+    client_request endpoint retry connect_timeout policy 0 Protocol.Metrics
+      (function
+      | Protocol.Metrics_snapshot s -> (
+          match Ddg_server.Metrics.stats_report ~json s with
+          | Ok text -> print_string text
+          | Error message ->
+              prerr_endline
+                (Printf.sprintf "paragraph: server error (%s): %s"
+                   (Protocol.error_code_name No_backends) message);
+              exit 3)
       | _ -> unexpected_response ())
   in
   let json =
@@ -1476,16 +1421,15 @@ let client_metrics_cmd =
   let snapshot_to_json (s : Obs.snapshot) =
     let open Ddg_report.Json in
     let labels ls = Obj (List.map (fun (k, v) -> (k, String v)) ls) in
+    let scalars =
+      List.map (fun (c : Obs.counter_snapshot) ->
+          Obj
+            [ ("name", String c.cs_name);
+              ("labels", labels c.cs_labels);
+              ("value", Int c.cs_value) ])
+    in
     Obj
-      [ ( "counters",
-          List
-            (List.map
-               (fun (c : Obs.counter_snapshot) ->
-                 Obj
-                   [ ("name", String c.cs_name);
-                     ("labels", labels c.cs_labels);
-                     ("value", Int c.cs_value) ])
-               s.counters) );
+      [ ("counters", List (scalars s.counters));
         ( "histograms",
           List
             (List.map
@@ -1500,7 +1444,8 @@ let client_metrics_cmd =
                      ("mean", Float (Obs.hist_mean h));
                      ("p50", Int (Obs.quantile h 0.5));
                      ("p99", Int (Obs.quantile h 0.99)) ])
-               s.histograms) ) ]
+               s.histograms) );
+        ("gauges", List (scalars s.gauges)) ]
   in
   let run endpoint retry connect_timeout policy prom =
     client_request endpoint retry connect_timeout policy 0 Protocol.Metrics
@@ -1529,8 +1474,9 @@ let client_metrics_cmd =
   Cmd.v
     (Cmd.info "metrics"
        ~doc:
-         "Dump the daemon's full metric registry (every counter and latency \
-          histogram) as JSON, or as Prometheus text with $(b,--prom).")
+         "Dump the daemon's full metric registry (every counter, latency \
+          histogram and gauge) as JSON, or as Prometheus text with \
+          $(b,--prom).")
     Term.(
       const run $ client_endpoint_term $ retry_arg $ connect_timeout_ms_arg
       $ retry_policy_term $ prom)

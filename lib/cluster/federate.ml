@@ -6,10 +6,11 @@ module Obs = Ddg_obs.Obs
 
 let series_key name labels = (name, List.sort compare labels)
 
-let merge_counters (snaps : Obs.snapshot list) =
+(* counters and gauges: same-series values sum *)
+let merge_scalars series (snaps : Obs.snapshot list) =
   let tbl = Hashtbl.create 64 in
   List.iter
-    (fun (s : Obs.snapshot) ->
+    (fun s ->
       List.iter
         (fun (c : Obs.counter_snapshot) ->
           let k = series_key c.Obs.cs_name c.cs_labels in
@@ -18,7 +19,7 @@ let merge_counters (snaps : Obs.snapshot list) =
           | Some prev ->
               Hashtbl.replace tbl k
                 { prev with Obs.cs_value = prev.Obs.cs_value + c.cs_value })
-        s.Obs.counters)
+        (series s))
     snaps;
   Hashtbl.fold (fun _ c acc -> c :: acc) tbl []
   |> List.sort (fun (a : Obs.counter_snapshot) (b : Obs.counter_snapshot) ->
@@ -45,4 +46,6 @@ let merge_histograms (snaps : Obs.snapshot list) =
            (b.Obs.hs_name, b.hs_labels))
 
 let merge_snapshots snaps =
-  { Obs.counters = merge_counters snaps; histograms = merge_histograms snaps }
+  { Obs.counters = merge_scalars (fun s -> s.Obs.counters) snaps;
+    histograms = merge_histograms snaps;
+    gauges = merge_scalars (fun s -> s.Obs.gauges) snaps }

@@ -16,8 +16,7 @@ let of_request ~size (req : Protocol.request) =
   | Protocol.Table { name } -> Some ("table/" ^ name)
   | Protocol.Forward_range { key; _ } -> Some (of_store_key key)
   | Protocol.Locate { key } -> Some key
-  | Protocol.Ping _ | Protocol.Server_stats | Protocol.Fsck
-  | Protocol.Metrics | Protocol.Shutdown | Protocol.Join _
-  | Protocol.Decommission _ | Protocol.Ring_update _ | Protocol.Store_list
-  | Protocol.Pull _ ->
+  | Protocol.Ping _ | Protocol.Fsck | Protocol.Metrics | Protocol.Shutdown
+  | Protocol.Join _ | Protocol.Decommission _ | Protocol.Ring_update _
+  | Protocol.Store_list | Protocol.Pull _ ->
       None

@@ -23,6 +23,6 @@ val of_request :
     verbs route by [workload/size], [Table] by [table/name],
     [Forward_range] by its store key's routing key, [Locate] by the key
     it carries. [None] for verbs any node can serve ([Ping],
-    [Server_stats], [Fsck], [Metrics], [Shutdown]) — the router handles
+    [Fsck], [Metrics], [Shutdown]) — the router handles
     those itself (answering locally, or fanning out to every backend) —
     and for the membership and backend-only verbs. *)

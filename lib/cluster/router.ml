@@ -333,40 +333,6 @@ let fan_out t sessions ~deadline_ms ~t0 req =
                 None))
     (locked t (fun () -> t.backends))
 
-let add_counters (a : Protocol.counters) (b : Protocol.counters) :
-    Protocol.counters =
-  let merge_by_verb xs ys =
-    List.fold_left
-      (fun acc (v, n) ->
-        match List.assoc_opt v acc with
-        | Some m -> (v, m + n) :: List.remove_assoc v acc
-        | None -> (v, n) :: acc)
-      xs ys
-    |> List.sort compare
-  in
-  { uptime_s = Float.max a.uptime_s b.uptime_s;
-    connections = a.connections + b.connections;
-    requests_total = a.requests_total + b.requests_total;
-    requests_ok = a.requests_ok + b.requests_ok;
-    requests_error = a.requests_error + b.requests_error;
-    busy_rejections = a.busy_rejections + b.busy_rejections;
-    deadline_expirations = a.deadline_expirations + b.deadline_expirations;
-    latency_total_s = a.latency_total_s +. b.latency_total_s;
-    latency_max_s = Float.max a.latency_max_s b.latency_max_s;
-    by_verb = merge_by_verb a.by_verb b.by_verb;
-    simulations = a.simulations + b.simulations;
-    analyses = a.analyses + b.analyses;
-    trace_store_hits = a.trace_store_hits + b.trace_store_hits;
-    stats_store_hits = a.stats_store_hits + b.stats_store_hits;
-    trace_mem_hits = a.trace_mem_hits + b.trace_mem_hits;
-    trace_evictions = a.trace_evictions + b.trace_evictions;
-    trace_resident_bytes = a.trace_resident_bytes + b.trace_resident_bytes;
-    retries_served = a.retries_served + b.retries_served;
-    worker_respawns = a.worker_respawns + b.worker_respawns;
-    artifact_quarantines = a.artifact_quarantines + b.artifact_quarantines;
-    injected_faults = a.injected_faults + b.injected_faults;
-    remote_fetches = a.remote_fetches + b.remote_fetches }
-
 (* ------------------------------------------------------------------ *)
 (* Live membership                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -526,17 +492,6 @@ let serve_request t sessions fd ~deadline_ms (req : Protocol.request) =
         (error_frame Internal
            (Printf.sprintf "%s is a backend verb; this is a router"
               (Protocol.verb_name req)))
-  | Server_stats -> (
-      let stats =
-        List.filter_map
-          (function Protocol.Telemetry c -> Some c | _ -> None)
-          (fan_out t sessions ~deadline_ms ~t0 Server_stats)
-      in
-      match stats with
-      | [] -> finish (error_frame No_backends "no backend reachable for stats")
-      | first :: rest ->
-          finish
-            (Ok_response (Telemetry (List.fold_left add_counters first rest))))
   | Metrics ->
       (* federation: the fleet's snapshots plus the router's own *)
       let remote =

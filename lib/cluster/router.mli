@@ -16,9 +16,9 @@
     successor (without counting against the breaker) while one is left.
 
     Keyless verbs the router answers itself: [ping] locally (router
-    liveness), [locate] from the ring, [stats] and [fsck] by fanning
-    out to every backend and aggregating the decoded answers, [metrics]
-    by federating every node's snapshot plus its own through
+    liveness), [locate] from the ring, [fsck] by fanning out to every
+    backend and summing the decoded reports, [metrics] by federating
+    every node's snapshot plus its own through
     {!Federate.merge_snapshots}, and [shutdown] by acking, broadcasting
     shutdown to the backends, and draining.
 

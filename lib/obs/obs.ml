@@ -1,4 +1,5 @@
-(* Spans, counters and log-bucketed histograms behind one atomic gate.
+(* Spans, counters, gauges and log-bucketed histograms behind one atomic
+   gate.
 
    The fast-path discipline mirrors Ddg_fault.Fault: [on] is a single
    Atomic.t bool, and every public recording entry point reads it first
@@ -141,14 +142,28 @@ type histogram = {
 
 type span = histogram
 
+(* a gauge holds the last value set, so one cell serves every domain *)
+type gauge = {
+  g_name : string;
+  g_labels : (string * string) list;
+  value : int Atomic.t;
+}
+
 (* --- registry --------------------------------------------------------------- *)
 
-type metric = C of counter | H of histogram
+type metric = C of counter | H of histogram | G of gauge
+
+let kind_name = function
+  | C _ -> "counter"
+  | H _ -> "histogram"
+  | G _ -> "gauge"
 
 let registry : (string, metric) Hashtbl.t = Hashtbl.create 64
 let reg_lock = Mutex.create ()
 
-let registered key make classify describe =
+let registered name labels make classify =
+  let labels = check_site name labels in
+  let key = name ^ render_labels labels in
   Mutex.lock reg_lock;
   Fun.protect
     ~finally:(fun () -> Mutex.unlock reg_lock)
@@ -160,30 +175,25 @@ let registered key make classify describe =
           | None ->
               invalid_arg
                 (Printf.sprintf "Obs: %s already registered as a %s" key
-                   describe))
+                   (kind_name m)))
       | None ->
-          let m, v = make () in
+          let m, v = make labels in
           Hashtbl.replace registry key m;
           v)
 
 let counter ?(labels = []) name =
-  let labels = check_site name labels in
-  let key = name ^ render_labels labels in
-  registered key
-    (fun () ->
+  registered name labels
+    (fun labels ->
       let c =
         { c_name = name; c_labels = labels;
           cells = Array.init nshards (fun _ -> Atomic.make 0) }
       in
       (C c, c))
-    (function C c -> Some c | H _ -> None)
-    "histogram"
+    (function C c -> Some c | _ -> None)
 
 let histogram ?(labels = []) name =
-  let labels = check_site name labels in
-  let key = name ^ render_labels labels in
-  registered key
-    (fun () ->
+  registered name labels
+    (fun labels ->
       let h =
         { h_name = name; h_labels = labels;
           shards =
@@ -192,8 +202,14 @@ let histogram ?(labels = []) name =
                   hcount = 0; hsum = 0; hmin = 0; hmax = 0 }) }
       in
       (H h, h))
-    (function H h -> Some h | C _ -> None)
-    "counter"
+    (function H h -> Some h | _ -> None)
+
+let gauge ?(labels = []) name =
+  registered name labels
+    (fun labels ->
+      let g = { g_name = name; g_labels = labels; value = Atomic.make 0 } in
+      (G g, g))
+    (function G g -> Some g | _ -> None)
 
 let span_site = histogram
 
@@ -205,6 +221,8 @@ let add c n =
 
 let incr c =
   if Atomic.get on then ignore (Atomic.fetch_and_add c.cells.(shard_id ()) 1)
+
+let set g v = if Atomic.get on then Atomic.set g.value v
 
 let observe_enabled h v =
   let v = if v < 0 then 0 else v in
@@ -260,6 +278,7 @@ type hist_snapshot = {
 type snapshot = {
   counters : counter_snapshot list;
   histograms : hist_snapshot list;
+  gauges : counter_snapshot list;
 }
 
 let counter_snapshot c =
@@ -296,21 +315,29 @@ let snapshot () =
   Mutex.lock reg_lock;
   let metrics = Hashtbl.fold (fun _ m acc -> m :: acc) registry [] in
   Mutex.unlock reg_lock;
-  let counters, histograms =
+  let counters, histograms, gauges =
     List.fold_left
-      (fun (cs, hs) -> function
-        | C c -> (counter_snapshot c :: cs, hs)
-        | H h -> (cs, hist_snapshot h :: hs))
-      ([], []) metrics
+      (fun (cs, hs, gs) -> function
+        | C c -> (counter_snapshot c :: cs, hs, gs)
+        | H h -> (cs, hist_snapshot h :: hs, gs)
+        | G g ->
+            ( cs,
+              hs,
+              { cs_name = g.g_name; cs_labels = g.g_labels;
+                cs_value = Atomic.get g.value }
+              :: gs ))
+      ([], [], []) metrics
   in
-  { counters =
-      List.sort
-        (fun a b -> by_series (a.cs_name, a.cs_labels) (b.cs_name, b.cs_labels))
-        counters;
+  let scalars =
+    List.sort (fun a b ->
+        by_series (a.cs_name, a.cs_labels) (b.cs_name, b.cs_labels))
+  in
+  { counters = scalars counters;
     histograms =
       List.sort
         (fun a b -> by_series (a.hs_name, a.hs_labels) (b.hs_name, b.hs_labels))
-        histograms }
+        histograms;
+    gauges = scalars gauges }
 
 let reset () =
   Mutex.lock reg_lock;
@@ -319,6 +346,7 @@ let reset () =
   List.iter
     (function
       | C c -> Array.iter (fun a -> Atomic.set a 0) c.cells
+      | G g -> Atomic.set g.value 0
       | H h ->
           Array.iter
             (fun s ->
@@ -411,13 +439,14 @@ let prometheus_of_snapshot snap =
       last_type := name
     end
   in
-  List.iter
-    (fun c ->
-      type_line c.cs_name "counter";
-      Buffer.add_string b
-        (Printf.sprintf "%s%s %d\n" c.cs_name (render_labels c.cs_labels)
-           c.cs_value))
-    snap.counters;
+  let scalars kind =
+    List.iter (fun c ->
+        type_line c.cs_name kind;
+        Buffer.add_string b
+          (Printf.sprintf "%s%s %d\n" c.cs_name (render_labels c.cs_labels)
+             c.cs_value))
+  in
+  scalars "counter" snap.counters;
   List.iter
     (fun h ->
       type_line h.hs_name "histogram";
@@ -443,6 +472,7 @@ let prometheus_of_snapshot snap =
         (Printf.sprintf "%s_count%s %d\n" h.hs_name
            (render_labels h.hs_labels) h.hs_count))
     snap.histograms;
+  scalars "gauge" snap.gauges;
   Buffer.contents b
 
 (* --- exposition grammar validator ------------------------------------------- *)

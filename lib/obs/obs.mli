@@ -1,5 +1,5 @@
-(** Observability: spans, counters and latency histograms with a global
-    registry and Prometheus text exposition.
+(** Observability: spans, counters, gauges and latency histograms with a
+    global registry and Prometheus text exposition.
 
     The layer follows the {!Ddg_fault.Fault} discipline: one global
     on/off flag behind an [Atomic.t], so every probe on a disabled
@@ -62,6 +62,7 @@ val enabled : unit -> bool
 
 type counter
 type histogram
+type gauge
 
 type span = histogram
 (** A span site is a histogram of durations in nanoseconds. *)
@@ -79,9 +80,16 @@ val histogram : ?labels:(string * string) list -> string -> histogram
 val span_site : ?labels:(string * string) list -> string -> span
 (** Alias for {!histogram}, documenting intent: durations in ns. *)
 
+val gauge : ?labels:(string * string) list -> string -> gauge
+(** Find or create, as {!counter}. A gauge holds the last value {!set}
+    on it: a level read from elsewhere, not a count of events. *)
+
 val incr : counter -> unit
 val add : counter -> int -> unit
 (** No-ops while disabled. [add] with a negative amount is a no-op. *)
+
+val set : gauge -> int -> unit
+(** No-op while disabled. *)
 
 val observe : histogram -> int -> unit
 (** Record one sample (negative samples clamp to 0). No-op while
@@ -129,6 +137,7 @@ type hist_snapshot = {
 type snapshot = {
   counters : counter_snapshot list;  (** sorted by name, then labels *)
   histograms : hist_snapshot list;  (** sorted by name, then labels *)
+  gauges : counter_snapshot list;  (** sorted by name, then labels *)
 }
 
 val snapshot : unit -> snapshot
@@ -164,7 +173,7 @@ val prometheus_of_snapshot : snapshot -> string
 (** Prometheus text exposition format, version 0.0.4: one [# TYPE]
     comment per metric name, counters as [name{labels} value],
     histograms as cumulative [_bucket{le="..."}] series ending in
-    [le="+Inf"] plus [_sum] and [_count]. Deterministic: byte-identical
+    [le="+Inf"] plus [_sum] and [_count], then gauges as counters are. Deterministic: byte-identical
     output for equal snapshots. *)
 
 val validate_exposition : string -> (unit, string) result

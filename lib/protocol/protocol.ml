@@ -1,4 +1,4 @@
-let version = 8
+let version = 9
 let max_frame_bytes = 16 * 1024 * 1024
 let magic = "DDGP"
 
@@ -10,7 +10,6 @@ let fail fmt = Format.kasprintf (fun msg -> raise (Error msg)) fmt
    hostile peer cannot force a large allocation through a string field *)
 let max_name = 256
 let max_message = 4096
-let max_verbs = 64
 let max_metrics = 4096
 let max_labels = 16
 
@@ -44,7 +43,6 @@ type request =
   | Analyze of { workload : string; config : Ddg_paragraph.Config.t }
   | Simulate of { workload : string }
   | Table of { name : string }
-  | Server_stats
   | Shutdown
   | Fsck
   | Metrics
@@ -73,37 +71,11 @@ type fsck_summary = {
   swept_temps : int;
 }
 
-type counters = {
-  uptime_s : float;
-  connections : int;
-  requests_total : int;
-  requests_ok : int;
-  requests_error : int;
-  busy_rejections : int;
-  deadline_expirations : int;
-  latency_total_s : float;
-  latency_max_s : float;
-  by_verb : (string * int) list;
-  simulations : int;
-  analyses : int;
-  trace_store_hits : int;
-  stats_store_hits : int;
-  trace_mem_hits : int;
-  trace_evictions : int;
-  trace_resident_bytes : int;
-  retries_served : int;
-  worker_respawns : int;
-  artifact_quarantines : int;
-  injected_faults : int;
-  remote_fetches : int;
-}
-
 type response =
   | Pong
   | Analyzed of Ddg_paragraph.Analyzer.stats
   | Simulated of sim_summary
   | Rendered of string
-  | Telemetry of counters
   | Shutting_down_ack
   | Fsck_report of fsck_summary
   | Metrics_snapshot of Ddg_obs.Obs.snapshot
@@ -125,7 +97,6 @@ let verb_name = function
   | Analyze _ -> "analyze"
   | Simulate _ -> "simulate"
   | Table _ -> "table"
-  | Server_stats -> "stats"
   | Shutdown -> "shutdown"
   | Fsck -> "fsck"
   | Metrics -> "metrics"
@@ -141,18 +112,18 @@ let verb_name = function
 (* every [verb_name], in request-tag order: the server pre-registers a
    metric series per entry, so keep it in step with the function above *)
 let verbs =
-  [ "ping"; "analyze"; "simulate"; "table"; "stats"; "shutdown"; "fsck";
-    "metrics"; "locate"; "advise"; "join"; "decommission"; "ring-update";
-    "store-list"; "pull"; "forward-range" ]
+  [ "ping"; "analyze"; "simulate"; "table"; "shutdown"; "fsck"; "metrics";
+    "locate"; "advise"; "join"; "decommission"; "ring-update"; "store-list";
+    "pull"; "forward-range" ]
 
 (* a verb is idempotent when replaying it after an ambiguous failure
    (connection dropped mid-request) cannot change server state beyond
    what one execution would: everything but [Shutdown], whose replay
    could kill a daemon restarted in between *)
 let idempotent = function
-  | Ping _ | Analyze _ | Simulate _ | Table _ | Server_stats | Fsck | Metrics
-  | Locate _ | Advise _ | Join _ | Decommission _ | Ring_update _
-  | Store_list | Pull _ | Forward_range _ ->
+  | Ping _ | Analyze _ | Simulate _ | Table _ | Fsck | Metrics | Locate _
+  | Advise _ | Join _ | Decommission _ | Ring_update _ | Store_list | Pull _
+  | Forward_range _ ->
       true
   | Shutdown -> false
 
@@ -193,12 +164,6 @@ let e_string ~max b s =
   if String.length s > max then fail "string field too long to encode";
   e_varint b (String.length s);
   Buffer.add_string b s
-
-let e_float b f =
-  let bits = Int64.bits_of_float f in
-  for i = 7 downto 0 do
-    e_byte b (Int64.to_int (Int64.shift_right_logical bits (8 * i)) land 0xFF)
-  done
 
 let e_opt_varint b = function
   | None -> e_bool b false
@@ -246,13 +211,6 @@ let c_string ~max c =
   let s = String.sub c.data c.pos n in
   c.pos <- c.pos + n;
   s
-
-let c_float c =
-  let bits = ref 0L in
-  for _ = 0 to 7 do
-    bits := Int64.logor (Int64.shift_left !bits 8) (Int64.of_int (c_byte c))
-  done;
-  Int64.float_of_bits !bits
 
 let c_opt_varint c = if c_bool c then Some (c_varint c) else None
 
@@ -366,7 +324,6 @@ let e_request b = function
   | Table { name } ->
       e_varint b 3;
       e_string ~max:max_name b name
-  | Server_stats -> e_varint b 4
   | Shutdown -> e_varint b 5
   | Fsck -> e_varint b 6
   | Metrics -> e_varint b 7
@@ -409,7 +366,6 @@ let c_request c =
       Analyze { workload; config }
   | 2 -> Simulate { workload = c_string ~max:max_name c }
   | 3 -> Table { name = c_string ~max:max_name c }
-  | 4 -> Server_stats
   | 5 -> Shutdown
   | 6 -> Fsck
   | 7 -> Metrics
@@ -438,78 +394,13 @@ let c_request c =
       Forward_range { kind; key; offset; length }
   | t -> fail "bad request verb tag %d" t
 
-let e_counters b k =
-  e_float b k.uptime_s;
-  e_varint b k.connections;
-  e_varint b k.requests_total;
-  e_varint b k.requests_ok;
-  e_varint b k.requests_error;
-  e_varint b k.busy_rejections;
-  e_varint b k.deadline_expirations;
-  e_float b k.latency_total_s;
-  e_float b k.latency_max_s;
-  if List.length k.by_verb > max_verbs then fail "too many verb counters";
-  e_varint b (List.length k.by_verb);
-  List.iter
-    (fun (name, count) ->
-      e_string ~max:max_name b name;
-      e_varint b count)
-    k.by_verb;
-  e_varint b k.simulations;
-  e_varint b k.analyses;
-  e_varint b k.trace_store_hits;
-  e_varint b k.stats_store_hits;
-  e_varint b k.trace_mem_hits;
-  e_varint b k.trace_evictions;
-  e_varint b k.trace_resident_bytes;
-  e_varint b k.retries_served;
-  e_varint b k.worker_respawns;
-  e_varint b k.artifact_quarantines;
-  e_varint b k.injected_faults;
-  e_varint b k.remote_fetches
-
-let c_counters c =
-  let uptime_s = c_float c in
-  let connections = c_varint c in
-  let requests_total = c_varint c in
-  let requests_ok = c_varint c in
-  let requests_error = c_varint c in
-  let busy_rejections = c_varint c in
-  let deadline_expirations = c_varint c in
-  let latency_total_s = c_float c in
-  let latency_max_s = c_float c in
-  let nverbs = c_varint c in
-  if nverbs > max_verbs then fail "too many verb counters (%d)" nverbs;
-  let by_verb =
-    List.init nverbs (fun _ ->
-        let name = c_string ~max:max_name c in
-        let count = c_varint c in
-        (name, count))
-  in
-  let simulations = c_varint c in
-  let analyses = c_varint c in
-  let trace_store_hits = c_varint c in
-  let stats_store_hits = c_varint c in
-  let trace_mem_hits = c_varint c in
-  let trace_evictions = c_varint c in
-  let trace_resident_bytes = c_varint c in
-  let retries_served = c_varint c in
-  let worker_respawns = c_varint c in
-  let artifact_quarantines = c_varint c in
-  let injected_faults = c_varint c in
-  let remote_fetches = c_varint c in
-  { uptime_s; connections; requests_total; requests_ok; requests_error;
-    busy_rejections; deadline_expirations; latency_total_s; latency_max_s;
-    by_verb; simulations; analyses; trace_store_hits; stats_store_hits;
-    trace_mem_hits; trace_evictions; trace_resident_bytes; retries_served;
-    worker_respawns; artifact_quarantines; injected_faults; remote_fetches }
-
 (* --- observability snapshots -------------------------------------------------
 
-   Histogram buckets travel sparse — (index, count) pairs in strictly
-   increasing index order — because a 63-bucket array is almost empty
-   for real latency data. Every list is length-bounded before any
-   allocation, as elsewhere in the decoder. *)
+   Counters, then histograms, then gauges. Histogram buckets travel
+   sparse — (index, count) pairs in strictly increasing index order —
+   because a 63-bucket array is almost empty for real latency data.
+   Every list is length-bounded before any allocation, as elsewhere in
+   the decoder. *)
 
 let e_labels b labels =
   if List.length labels > max_labels then fail "too many labels to encode";
@@ -528,15 +419,28 @@ let c_labels c =
       let v = c_string ~max:max_name c in
       (k, v))
 
-let e_obs_snapshot b (s : Ddg_obs.Obs.snapshot) =
-  if List.length s.counters > max_metrics then fail "too many counters";
-  e_varint b (List.length s.counters);
+(* counters and gauges share one shape: name, labels, value *)
+let e_scalars ~what b (series : Ddg_obs.Obs.counter_snapshot list) =
+  if List.length series > max_metrics then fail "too many %s" what;
+  e_varint b (List.length series);
   List.iter
     (fun (cs : Ddg_obs.Obs.counter_snapshot) ->
       e_string ~max:max_name b cs.cs_name;
       e_labels b cs.cs_labels;
       e_varint b cs.cs_value)
-    s.counters;
+    series
+
+let c_scalars ~what c =
+  let n = c_varint c in
+  if n > max_metrics then fail "too many %s (%d)" what n;
+  List.init n (fun _ ->
+      let cs_name = c_string ~max:max_name c in
+      let cs_labels = c_labels c in
+      let cs_value = c_varint c in
+      { Ddg_obs.Obs.cs_name; cs_labels; cs_value })
+
+let e_obs_snapshot b (s : Ddg_obs.Obs.snapshot) =
+  e_scalars ~what:"counters" b s.counters;
   if List.length s.histograms > max_metrics then fail "too many histograms";
   e_varint b (List.length s.histograms);
   List.iter
@@ -558,18 +462,11 @@ let e_obs_snapshot b (s : Ddg_obs.Obs.snapshot) =
             e_varint b c
           end)
         h.hs_buckets)
-    s.histograms
+    s.histograms;
+  e_scalars ~what:"gauges" b s.gauges
 
 let c_obs_snapshot c : Ddg_obs.Obs.snapshot =
-  let nc = c_varint c in
-  if nc > max_metrics then fail "too many counters (%d)" nc;
-  let counters =
-    List.init nc (fun _ ->
-        let cs_name = c_string ~max:max_name c in
-        let cs_labels = c_labels c in
-        let cs_value = c_varint c in
-        { Ddg_obs.Obs.cs_name; cs_labels; cs_value })
-  in
+  let counters = c_scalars ~what:"counters" c in
   let nh = c_varint c in
   if nh > max_metrics then fail "too many histograms (%d)" nh;
   let histograms =
@@ -595,7 +492,8 @@ let c_obs_snapshot c : Ddg_obs.Obs.snapshot =
         { Ddg_obs.Obs.hs_name; hs_labels; hs_count; hs_sum; hs_min; hs_max;
           hs_buckets })
   in
-  { Ddg_obs.Obs.counters; histograms }
+  let gauges = c_scalars ~what:"gauges" c in
+  { Ddg_obs.Obs.counters; histograms; gauges }
 
 (* An analyze or advise answer is its canonical codec bytes behind the
    response tag and a length, so a cached answer can go on the wire
@@ -618,9 +516,6 @@ let e_response b = function
   | Rendered text ->
       e_varint b 3;
       e_string ~max:max_frame_bytes b text
-  | Telemetry k ->
-      e_varint b 4;
-      e_counters b k
   | Shutting_down_ack -> e_varint b 5
   | Fsck_report r ->
       e_varint b 6;
@@ -672,7 +567,6 @@ let c_response c =
         { instructions; syscalls; output_bytes; memory_footprint;
           trace_events }
   | 3 -> Rendered (c_string ~max:max_frame_bytes c)
-  | 4 -> Telemetry (c_counters c)
   | 5 -> Shutting_down_ack
   | 6 ->
       let scanned = c_varint c in

@@ -43,6 +43,10 @@ val max_frame_bytes : int
 (** Upper bound on a frame payload (16 MiB). Larger declared lengths are
     rejected before any allocation. *)
 
+val max_metrics : int
+(** Upper bound on each series list (counters, histograms, gauges) of
+    a metrics snapshot. *)
+
 val max_members : int
 (** Upper bound on a membership list ([ring-update], [members]). *)
 
@@ -85,15 +89,16 @@ type request =
   | Simulate of { workload : string }
   | Table of { name : string }
       (** one of table1..table4, fig7, fig8 — a rendered paper result *)
-  | Server_stats  (** the daemon's own counters; never queued or rejected *)
   | Shutdown  (** ask the daemon to drain and exit *)
   | Fsck
       (** verify the daemon's artifact store: scan every artifact,
           quarantine corruption, rebuild the manifest *)
   | Metrics
-      (** the full {!Ddg_obs.Obs} registry snapshot — every counter and
-          latency histogram the daemon has registered; never queued or
-          rejected, like {!Server_stats} *)
+      (** the full {!Ddg_obs.Obs} registry snapshot — every counter,
+          latency histogram and gauge the daemon has registered; never
+          queued or rejected. The daemon sets its gauges (uptime,
+          resident trace bytes, worker respawns, quarantines, injected
+          faults) just before it takes the snapshot (protocol v9) *)
   | Locate of { key : string }
       (** cluster membership query: which node id owns this routing key
           on the answering node's hash ring — answered by routers and
@@ -157,51 +162,18 @@ type fsck_summary = {
   swept_temps : int;  (** orphaned temp files removed *)
 }
 
-(** The daemon's observability counters, as returned by {!Server_stats}:
-    request outcomes and latency, plus the resident caches' hit/miss and
-    eviction counts. *)
-type counters = {
-  uptime_s : float;
-  connections : int;
-  requests_total : int;
-  requests_ok : int;
-  requests_error : int;
-  busy_rejections : int;
-  deadline_expirations : int;
-  latency_total_s : float;
-  latency_max_s : float;
-  by_verb : (string * int) list;  (** request count per verb name *)
-  simulations : int;  (** workload simulations actually run *)
-  analyses : int;  (** analyzer passes actually run (per configuration) *)
-  trace_store_hits : int;
-  stats_store_hits : int;
-  trace_mem_hits : int;
-  trace_evictions : int;
-  trace_resident_bytes : int;
-  retries_served : int;
-      (** requests served whose wire [attempt] was > 0, i.e. client
-          replays after a connection loss or Busy *)
-  worker_respawns : int;  (** pool workers replaced after a crash *)
-  artifact_quarantines : int;  (** corrupt artifacts moved aside *)
-  injected_faults : int;  (** faults fired by {!Ddg_fault.Fault}, 0 in
-                              production *)
-  remote_fetches : int;
-      (** artifacts imported from a cluster peer's store instead of
-          recomputed (0 outside cluster mode) *)
-}
-
 type response =
   | Pong
   | Analyzed of Ddg_paragraph.Analyzer.stats
   | Simulated of sim_summary
   | Rendered of string
-  | Telemetry of counters
   | Shutting_down_ack
   | Fsck_report of fsck_summary
   | Metrics_snapshot of Ddg_obs.Obs.snapshot
-      (** reply to {!Metrics}; histogram buckets travel sparse
-          ((index, count) pairs in increasing index order), all lists
-          are length-bounded before allocation *)
+      (** reply to {!Metrics}: counters, histograms, then gauges;
+          histogram buckets travel sparse ((index, count) pairs in
+          increasing index order), all lists are length-bounded before
+          allocation *)
   | Located of { node : string }  (** reply to {!request.Locate} *)
   | Advised of Ddg_advise.Advise.t
       (** reply to {!request.Advise}; travels as the canonical
@@ -228,13 +200,13 @@ type frame =
   | Request of { deadline_ms : int; attempt : int; request : request }
       (** [deadline_ms = 0] means "use the server's default deadline";
           [attempt] is 0 for a first send and counts client replays,
-          feeding {!counters.retries_served} *)
+          feeding the daemon's [ddg_server_retries_served_total] *)
   | Ok_response of response
   | Error_response of error
 
 val verb_name : request -> string
 (** Stable short name of a request's verb ("ping", "analyze", ...), the
-    key space of {!counters.by_verb}. *)
+    [verb] label of the daemon's request series. *)
 
 val verbs : string list
 (** Every name {!verb_name} can return, in request-tag order — the

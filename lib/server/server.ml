@@ -74,7 +74,9 @@ let create ~runner ?cluster ?workers ?(max_inflight = 64)
   let pool = Pool.pool ?workers () in
   { runner; cluster; pool; max_inflight; max_connections;
     default_deadline_s;
-    metrics = Metrics.create (); log; endpoints; lock = Mutex.create ();
+    metrics =
+      Metrics.create ?node:(Option.map (fun c -> c.node_id) cluster) ();
+    log; endpoints; lock = Mutex.create ();
     conns = []; active = 0; stopping = false; stop_r; stop_w }
 
 let locked t f =
@@ -87,11 +89,6 @@ let install_signal_handlers t =
   let handle = Sys.Signal_handle (fun _ -> stop t) in
   Sys.set_signal Sys.sigint handle;
   Sys.set_signal Sys.sigterm handle
-
-let stats t =
-  Metrics.snapshot t.metrics
-    ~runner:(Runner.counters t.runner)
-    ~worker_respawns:(Pool.pool_respawns t.pool)
 
 (* ------------------------------------------------------------------ *)
 (* Request execution (runs on the domain pool)                         *)
@@ -186,8 +183,8 @@ let compute t (req : Protocol.request) cancelled : string =
                  quarantined = r.quarantined;
                  missing = r.missing;
                  swept_temps = r.swept_temps }))
-  | Server_stats | Shutdown | Metrics | Locate _ | Forward_range _ | Join _
-  | Decommission _ | Ring_update _ | Store_list | Pull _ ->
+  | Shutdown | Metrics | Locate _ | Forward_range _ | Join _ | Decommission _
+  | Ring_update _ | Store_list | Pull _ ->
       (* Handled inline by the connection handler; never queued. *)
       assert false
 
@@ -210,8 +207,10 @@ let serve_request t fd ~deadline_ms ~attempt (req : Protocol.request) =
     send outcome (fun () -> Protocol.write_frame_fd fd frame)
   in
   match req with
-  | Server_stats -> finish `Ok (Ok_response (Telemetry (stats t)))
-  | Metrics -> finish `Ok (Ok_response (Metrics_snapshot (Obs.snapshot ())))
+  | Metrics ->
+      Metrics.set_gauges t.metrics ~runner:(Runner.counters t.runner)
+        ~worker_respawns:(Pool.pool_respawns t.pool);
+      finish `Ok (Ok_response (Metrics_snapshot (Obs.snapshot ())))
   | Locate { key } -> (
       (* membership query: cheap ring lookup, never queued *)
       match t.cluster with

@@ -92,8 +92,5 @@ val stop : t -> unit
 val install_signal_handlers : t -> unit
 (** Route SIGINT and SIGTERM to {!stop} for graceful drain. *)
 
-val stats : t -> Ddg_protocol.Protocol.counters
-(** Current observability snapshot (same data the [stats] verb serves). *)
-
 val table_names : string list
 (** Names accepted by the [Table] verb, e.g. ["table3"], ["fig7"]. *)

@@ -74,8 +74,8 @@ let config64 =
     renaming = Config.rename_registers_only;
     window = Some 64 }
 
-(* deterministic verbs only: Server_stats (timing counters) and Shutdown
-   are exercised separately *)
+(* deterministic verbs only: Metrics (timing series) and Shutdown are
+   exercised separately *)
 let script =
   [ Protocol.Ping { delay_ms = 0 };
     Analyze { workload = "mtxx"; config = Config.default };
@@ -111,11 +111,21 @@ let chaos_sites =
     ("jobs.worker.crash", site 0.2 2);
     ("server.accept.fail", site 0.2 2) ]
 
-let stats_of endpoint =
+(* the answering daemon sets its worker-respawn gauge from its own pool
+   just before it snapshots; a standalone daemon's gauge is unlabelled *)
+let respawns_of endpoint =
   Client.with_connection ~retry_for_s:5.0 endpoint (fun client ->
-      match Client.request client Protocol.Server_stats with
-      | Protocol.Telemetry c -> c
-      | _ -> Alcotest.fail "expected Telemetry")
+      match Client.request client Protocol.Metrics with
+      | Protocol.Metrics_snapshot s -> (
+          match
+            List.find_opt
+              (fun (g : Ddg_obs.Obs.counter_snapshot) ->
+                g.cs_name = "ddg_server_worker_respawns" && g.cs_labels = [])
+              s.gauges
+          with
+          | Some g -> g.cs_value
+          | None -> Alcotest.fail "no worker-respawn gauge")
+      | _ -> Alcotest.fail "expected Metrics_snapshot")
 
 let chaos_run seed () =
   Fault.disable ();
@@ -145,10 +155,9 @@ let chaos_run seed () =
                 (* the dying domain bumps the respawn counter just after
                    failing its ticket: give the supervisor a moment *)
                 let rec settle give_up =
-                  let c = stats_of ep in
-                  if c.Protocol.worker_respawns >= crashes
-                     || Unix.gettimeofday () > give_up
-                  then c.Protocol.worker_respawns
+                  let respawns = respawns_of ep in
+                  if respawns >= crashes || Unix.gettimeofday () > give_up
+                  then respawns
                   else begin
                     Thread.delay 0.01;
                     settle give_up

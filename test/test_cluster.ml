@@ -6,7 +6,8 @@
    threads — same wire protocol as the forked production shape, with
    the one caveat that all nodes share the process-global obs registry
    (so federation exactness is asserted on synthetic snapshots, and
-   e2e federation is asserted on validity and per-runner counters). *)
+   e2e federation is asserted on validity, per-node gauges and
+   per-runner counters). *)
 
 module Protocol = Ddg_protocol.Protocol
 module Server = Ddg_server.Server
@@ -21,6 +22,7 @@ module Route = Ddg_cluster.Route
 module Federate = Ddg_cluster.Federate
 module Router = Ddg_cluster.Router
 module Fleet = Ddg_cluster.Fleet
+module Metrics = Ddg_server.Metrics
 
 let tiny = Ddg_workloads.Workload.Tiny
 
@@ -196,14 +198,16 @@ let test_federate_merge () =
         [ c "ddg_a_total" [] 3;
           c "ddg_shared_total" [ ("verb", "ping") ] 10 ];
       histograms =
-        [ Obs.hist_of_samples ~name:"ddg_lat_ns" [ 1; 2; 3 ] ] }
+        [ Obs.hist_of_samples ~name:"ddg_lat_ns" [ 1; 2; 3 ] ];
+      gauges = [] }
   in
   let snap_b =
     { Obs.counters =
         [ c "ddg_b_total" [] 4;
           c "ddg_shared_total" [ ("verb", "ping") ] 32 ];
       histograms =
-        [ Obs.hist_of_samples ~name:"ddg_lat_ns" [ 10; 20 ] ] }
+        [ Obs.hist_of_samples ~name:"ddg_lat_ns" [ 10; 20 ] ];
+      gauges = [] }
   in
   let merged = Federate.merge_snapshots [ snap_a; snap_b ] in
   let value name =
@@ -230,7 +234,39 @@ let test_federate_merge () =
     (Federate.merge_snapshots [ snap_b; snap_a ] = merged);
   (* and the empty list is the empty snapshot *)
   Alcotest.(check bool) "empty" true
-    (Federate.merge_snapshots [] = { Obs.counters = []; histograms = [] })
+    (Federate.merge_snapshots []
+    = { Obs.counters = []; histograms = []; gauges = [] })
+
+(* a cluster member labels its gauges with its node id, so federation
+   keeps one series per node, and [client stats] takes the largest
+   uptime; a gauge two snapshots share sums like a counter *)
+let test_federate_node_gauges () =
+  let g name labels v = { Obs.cs_name = name; cs_labels = labels; cs_value = v } in
+  let member id uptime_s =
+    { Obs.counters = []; histograms = [];
+      gauges =
+        [ g "ddg_server_trace_resident_bytes" [] 2;
+          g "ddg_server_uptime_ns" [ ("node", id) ] (uptime_s * 1_000_000_000) ]
+    }
+  in
+  let merged =
+    Federate.merge_snapshots
+      [ member "node1" 30; member "node0" 20;
+        { Obs.counters = []; histograms = []; gauges = [] } ]
+  in
+  Alcotest.(check string) "one series per node"
+    "# TYPE ddg_server_trace_resident_bytes gauge\n\
+     ddg_server_trace_resident_bytes 4\n\
+     # TYPE ddg_server_uptime_ns gauge\n\
+     ddg_server_uptime_ns{node=\"node0\"} 20000000000\n\
+     ddg_server_uptime_ns{node=\"node1\"} 30000000000\n"
+    (Obs.prometheus_of_snapshot merged);
+  match Metrics.stats_report ~json:false merged with
+  | Ok text ->
+      Alcotest.(check string) "the fleet's uptime is the largest"
+        "uptime: 30.0s, connections: 0"
+        (List.hd (String.split_on_char '\n' text))
+  | Error msg -> Alcotest.failf "stats refused: %s" msg
 
 (* --- in-process fleets --------------------------------------------------------- *)
 
@@ -294,14 +330,19 @@ let analyze_via endpoint workload =
       | Protocol.Analyzed stats -> Ddg_paragraph.Stats_codec.to_string stats
       | _ -> Alcotest.fail "expected Analyzed")
 
-let stats_via endpoint =
-  Client.with_session ~retry_for_s:5.0 endpoint (fun s ->
-      match Client.call ~deadline_ms:30_000 s Protocol.Server_stats with
-      | Protocol.Telemetry c -> c
-      | _ -> Alcotest.fail "expected Telemetry")
+(* The work one member's runner did. In-process nodes share the obs
+   registry, so their metrics cannot tell the nodes apart; each
+   backend's own runner can. *)
+let work_of ~members ~backends node =
+  Runner.counters
+    (List.assoc node
+       (List.map2
+          (fun (m : Fleet.member) (b : Fleet.backend) ->
+            (m.Fleet.node, b.Fleet.runner))
+          members backends))
 
 let test_fetch_through () =
-  with_fleet ~nodes:2 (fun ~members ~backends:_ ~router_endpoint:_ ->
+  with_fleet ~nodes:2 (fun ~members ~backends ~router_endpoint:_ ->
       let ring = Ring.create (List.map (fun (m : Fleet.member) -> m.Fleet.node) members) in
       let owner_node = Ring.owner ring "mtxx/tiny" in
       let find node =
@@ -321,14 +362,13 @@ let test_fetch_through () =
       let routed = analyze_via other.Fleet.endpoint "mtxx" in
       Alcotest.(check string) "fetch-through result byte-identical" reference
         routed;
-      let c = stats_via other.Fleet.endpoint in
-      Alcotest.(check int) "non-owner ran no simulation" 0
-        c.Protocol.simulations;
-      Alcotest.(check int) "non-owner ran no analysis" 0 c.Protocol.analyses;
+      let c = work_of ~members ~backends other.Fleet.node in
+      Alcotest.(check int) "non-owner ran no simulation" 0 c.Runner.simulations;
+      Alcotest.(check int) "non-owner ran no analysis" 0 c.Runner.analyses;
       (* one fetch: the stats blob alone answers the analyze, so the
          trace is never pulled *)
       Alcotest.(check int) "the stats artifact was fetched from the owner" 1
-        c.Protocol.remote_fetches;
+        c.Runner.remote_fetches;
       (* both stores now hold the artifacts; fsck is clean everywhere *)
       List.iter
         (fun (m : Fleet.member) ->
@@ -372,17 +412,35 @@ let test_router_end_to_end () =
                 reference
                 (Ddg_paragraph.Stats_codec.to_string stats)
           | _ -> Alcotest.fail "expected Analyzed");
-          (* aggregated stats cover the fleet and count the work once *)
-          (match Client.call s Protocol.Server_stats with
-          | Protocol.Telemetry c ->
-              Alcotest.(check int) "one simulation fleet-wide" 1
-                c.Protocol.simulations;
-              Alcotest.(check int) "one analysis fleet-wide" 1
-                c.Protocol.analyses
-          | _ -> Alcotest.fail "expected Telemetry");
-          (* federated metrics validate as one exposition *)
+          (* the fleet counts the work once *)
+          let fleet_work f =
+            List.fold_left
+              (fun acc (m : Fleet.member) ->
+                acc + f (work_of ~members ~backends m.Fleet.node))
+              0 members
+          in
+          Alcotest.(check int) "one simulation fleet-wide" 1
+            (fleet_work (fun c -> c.Runner.simulations));
+          Alcotest.(check int) "one analysis fleet-wide" 1
+            (fleet_work (fun c -> c.Runner.analyses));
+          (* federated metrics validate as one exposition, keep every
+             member's gauges apart and render as [client stats] *)
           (match Client.call s Protocol.Metrics with
           | Protocol.Metrics_snapshot snap -> (
+              List.iter
+                (fun (m : Fleet.member) ->
+                  Alcotest.(check bool)
+                    (m.Fleet.node ^ " has its uptime gauge")
+                    true
+                    (List.exists
+                       (fun (g : Obs.counter_snapshot) ->
+                         g.Obs.cs_name = "ddg_server_uptime_ns"
+                         && g.cs_labels = [ ("node", m.Fleet.node) ])
+                       snap.Obs.gauges))
+                members;
+              (match Metrics.stats_report ~json:false snap with
+              | Ok _ -> ()
+              | Error msg -> Alcotest.failf "stats refused: %s" msg);
               match
                 Obs.validate_exposition (Obs.prometheus_of_snapshot snap)
               with
@@ -424,7 +482,7 @@ let counter_value ?(labels = []) name =
     0 (Obs.snapshot ()).Obs.counters
 
 let test_membership_wire () =
-  with_fleet ~nodes:2 ~router:() (fun ~members ~backends:_ ~router_endpoint ->
+  with_fleet ~nodes:2 ~router:() (fun ~members ~backends ~router_endpoint ->
       let ring =
         Ring.create (List.map (fun (m : Fleet.member) -> m.Fleet.node) members)
       in
@@ -485,11 +543,8 @@ let test_membership_wire () =
               Alcotest.(check string) "no warm key lost" reference
                 (Ddg_paragraph.Stats_codec.to_string stats)
           | _ -> Alcotest.fail "expected Analyzed");
-          (match Client.call s Protocol.Server_stats with
-          | Protocol.Telemetry c ->
-              Alcotest.(check int) "survivor never re-simulated" 0
-                c.Protocol.simulations
-          | _ -> Alcotest.fail "expected Telemetry");
+          Alcotest.(check int) "survivor never re-simulated" 0
+            (work_of ~members ~backends survivor.Fleet.node).Runner.simulations;
           (* retiring the last member leaves an empty fleet serving a
              typed No_backends — Ring.remove's Invalid_argument must not
              escape *)
@@ -545,7 +600,7 @@ let test_drain_moves_large_trace () =
       (Runner.analyze (Runner.create ~size ()) spicex window64)
   in
   with_fleet ~size ~nodes:2 ~router:()
-    (fun ~members ~backends:_ ~router_endpoint ->
+    (fun ~members ~backends ~router_endpoint ->
       let ring =
         Ring.create (List.map (fun (m : Fleet.member) -> m.Fleet.node) members)
       in
@@ -586,11 +641,9 @@ let test_drain_moves_large_trace () =
               Alcotest.(check string) "window 64 byte-identical" reference
                 (Ddg_paragraph.Stats_codec.to_string stats)
           | _ -> Alcotest.fail "expected Analyzed");
-          match Client.call s Protocol.Server_stats with
-          | Protocol.Telemetry c ->
-              Alcotest.(check int) "survivor never simulated" 0
-                c.Protocol.simulations
-          | _ -> Alcotest.fail "expected Telemetry"))
+          Alcotest.(check int) "survivor never simulated" 0
+            (work_of ~members ~backends survivor.Fleet.node).Runner.simulations)
+    )
 
 let test_pull_refusals () =
   with_fleet ~nodes:2 (fun ~members ~backends:_ ~router_endpoint:_ ->
@@ -746,9 +799,53 @@ let test_routed_answers_are_canonical_bytes () =
           Alcotest.(check int) "advice answered from the store" 1
             (advise_store_hits () - advise_hits)))
 
+(* Served and routed answers against the reference transcription of the
+   placement rule (test/reference.ml): for drawn tiny workloads and
+   configurations, a backend asked directly and a 2-node router both
+   answer the reference's stats bytes. One fleet serves every case. *)
+let test_wire_matches_reference () =
+  let local = Runner.create ~size:tiny () in
+  let events = Hashtbl.create 16 in
+  let reference (w : Ddg_workloads.Workload.t) config =
+    let evs =
+      match Hashtbl.find_opt events w.name with
+      | Some evs -> evs
+      | None ->
+          let evs = Ddg_sim.Trace.to_list (snd (Runner.trace local w)) in
+          Hashtbl.replace events w.name evs;
+          evs
+    in
+    Ddg_paragraph.Stats_codec.to_string (Reference.analyze config evs)
+  in
+  let case =
+    QCheck.make
+      QCheck.Gen.(pair (oneofl Ddg_workloads.Registry.all) Test_props.gen_config)
+      ~print:(fun ((w : Ddg_workloads.Workload.t), config) ->
+        w.name ^ " under " ^ Config.describe config)
+  in
+  with_fleet ~nodes:2 ~router:() (fun ~members ~backends:_ ~router_endpoint ->
+      let answer endpoint (w : Ddg_workloads.Workload.t) config =
+        Client.with_session ~retry_for_s:5.0 endpoint (fun s ->
+            match
+              Client.call ~deadline_ms:60_000 s
+                (Protocol.Analyze { workload = w.name; config })
+            with
+            | Protocol.Analyzed stats ->
+                Ddg_paragraph.Stats_codec.to_string stats
+            | _ -> Alcotest.fail "expected Analyzed")
+      in
+      let backend = (List.hd members).Fleet.endpoint in
+      QCheck.Test.check_exn
+        (QCheck.Test.make ~count:20
+           ~name:"served and routed analyses equal the reference" case
+           (fun (w, config) ->
+             let want = reference w config in
+             answer backend w config = want
+             && answer router_endpoint w config = want)))
+
 let test_scrub_repair () =
   with_fleet ~nodes:2 ~scrub_rate:500.0
-    (fun ~members ~backends:_ ~router_endpoint:_ ->
+    (fun ~members ~backends ~router_endpoint:_ ->
       let ring =
         Ring.create (List.map (fun (m : Fleet.member) -> m.Fleet.node) members)
       in
@@ -787,8 +884,8 @@ let test_scrub_repair () =
         (Array.length (Sys.readdir (Store.quarantine_dir store)) > 0);
       Alcotest.(check string) "repaired artifact byte-identical" reference
         (analyze_via other.Fleet.endpoint "mtxx");
-      let c = stats_via other.Fleet.endpoint in
-      Alcotest.(check int) "repair never recomputed" 0 c.Protocol.analyses;
+      Alcotest.(check int) "repair never recomputed" 0
+        (work_of ~members ~backends other.Fleet.node).Runner.analyses;
       (* both stores end clean *)
       List.iter
         (fun (m : Fleet.member) ->
@@ -864,12 +961,14 @@ let test_federate_recovery_metrics () =
         [ c "ddg_backend_respawns_total" 2;
           c "ddg_membership_changes_total" 1;
           c "ddg_scrub_repairs_total" 3 ];
-      histograms = [ Obs.hist_of_samples ~name:"ddg_scrub_pass_ns" [ 1; 3 ] ] }
+      histograms = [ Obs.hist_of_samples ~name:"ddg_scrub_pass_ns" [ 1; 3 ] ];
+      gauges = [] }
   in
   let node_b =
     { Obs.counters =
         [ c "ddg_membership_changes_total" 1; c "ddg_scrub_repairs_total" 4 ];
-      histograms = [ Obs.hist_of_samples ~name:"ddg_scrub_pass_ns" [ 9 ] ] }
+      histograms = [ Obs.hist_of_samples ~name:"ddg_scrub_pass_ns" [ 9 ] ];
+      gauges = [] }
   in
   let merged = Federate.merge_snapshots [ node_a; node_b ] in
   let text = Obs.prometheus_of_snapshot merged in
@@ -1057,12 +1156,16 @@ let tests =
       test_routing_keys;
     Alcotest.test_case "federation sums counters, merges histograms" `Quick
       test_federate_merge;
+    Alcotest.test_case "federation keeps per-node gauges apart" `Quick
+      test_federate_node_gauges;
     Alcotest.test_case "fetch-through replicates instead of recomputing"
       `Slow test_fetch_through;
     Alcotest.test_case "router e2e: route, aggregate, federate, failover"
       `Slow test_router_end_to_end;
     Alcotest.test_case "routed answers are the owner's canonical bytes"
       `Slow test_routed_answers_are_canonical_bytes;
+    Alcotest.test_case "served and routed analyses equal the reference"
+      `Slow test_wire_matches_reference;
     Alcotest.test_case "self-healing metrics federate (golden)" `Quick
       test_federate_recovery_metrics;
     Alcotest.test_case "membership: drain, No_backends, rejoin" `Slow

@@ -32,6 +32,11 @@ let find_counter snap name =
   | Some c -> c.Obs.cs_value
   | None -> Alcotest.failf "counter %s not in snapshot" name
 
+let find_gauge snap name =
+  match List.find_opt (fun c -> c.Obs.cs_name = name) snap.Obs.gauges with
+  | Some c -> c.Obs.cs_value
+  | None -> Alcotest.failf "gauge %s not in snapshot" name
+
 let find_hist snap name =
   match
     List.find_opt (fun h -> h.Obs.hs_name = name) snap.Obs.histograms
@@ -151,7 +156,13 @@ let golden_snapshot =
     histograms =
       [ Obs.hist_of_samples ~name:"ddg_request_ns"
           ~labels:[ ("verb", "ping") ]
-          [ 0; 1; 2; 3; 9 ] ] }
+          [ 0; 1; 2; 3; 9 ] ];
+    gauges =
+      [ { Obs.cs_name = "ddg_resident_bytes"; cs_labels = []; cs_value = 4096 };
+        { Obs.cs_name = "ddg_uptime_ns"; cs_labels = [ ("node", "node0") ];
+          cs_value = 7 };
+        { Obs.cs_name = "ddg_uptime_ns"; cs_labels = [ ("node", "node1") ];
+          cs_value = 9 } ] }
 
 let golden_text =
   "# TYPE ddg_requests_total counter\n\
@@ -166,7 +177,12 @@ let golden_text =
    ddg_request_ns_bucket{le=\"15\",verb=\"ping\"} 5\n\
    ddg_request_ns_bucket{le=\"+Inf\",verb=\"ping\"} 5\n\
    ddg_request_ns_sum{verb=\"ping\"} 15\n\
-   ddg_request_ns_count{verb=\"ping\"} 5\n"
+   ddg_request_ns_count{verb=\"ping\"} 5\n\
+   # TYPE ddg_resident_bytes gauge\n\
+   ddg_resident_bytes 4096\n\
+   # TYPE ddg_uptime_ns gauge\n\
+   ddg_uptime_ns{node=\"node0\"} 7\n\
+   ddg_uptime_ns{node=\"node1\"} 9\n"
 
 let test_prometheus_golden () =
   let text = Obs.prometheus_of_snapshot golden_snapshot in
@@ -219,6 +235,9 @@ let test_registry_rejects_bad_sites () =
   (* one key, one kind: a name registered as a counter cannot come back
      as a histogram *)
   let (_ : Obs.counter) = Obs.counter "ddg_test_kind_total" in
+  (match Obs.gauge "ddg_test_kind_total" with
+  | (_ : Obs.gauge) -> Alcotest.fail "re-registered a counter as gauge"
+  | exception Invalid_argument _ -> ());
   match Obs.histogram "ddg_test_kind_total" with
   | (_ : Obs.histogram) -> Alcotest.fail "re-registered a counter as histogram"
   | exception Invalid_argument _ -> ()
@@ -227,10 +246,12 @@ let test_disabled_records_nothing () =
   with_clean_obs @@ fun () ->
   let c = Obs.counter "ddg_test_gate_total" in
   let h = Obs.span_site "ddg_test_gate_ns" in
+  let g = Obs.gauge "ddg_test_gate_level" in
   Obs.disable ();
   Obs.incr c;
   Obs.add c 5;
   Obs.observe h 3;
+  Obs.set g 9;
   Alcotest.(check int) "time still runs the thunk" 7
     (Obs.time h (fun () -> 7));
   let snap = Obs.snapshot () in
@@ -238,9 +259,13 @@ let test_disabled_records_nothing () =
     (find_counter snap "ddg_test_gate_total");
   Alcotest.(check int) "histogram untouched" 0
     (find_hist snap "ddg_test_gate_ns").Obs.hs_count;
+  Alcotest.(check int) "gauge untouched" 0
+    (find_gauge snap "ddg_test_gate_level");
   (* flip the gate: the same sites record *)
   Obs.enable ();
   Obs.incr c;
+  Obs.set g 9;
+  Obs.set g 4;
   (match Obs.time h (fun () -> raise Exit) with
   | () -> Alcotest.fail "time swallowed the exception"
   | exception Exit -> ());
@@ -248,7 +273,12 @@ let test_disabled_records_nothing () =
   Alcotest.(check int) "counter recorded" 1
     (find_counter snap "ddg_test_gate_total");
   Alcotest.(check int) "span recorded around the raise" 1
-    (find_hist snap "ddg_test_gate_ns").Obs.hs_count
+    (find_hist snap "ddg_test_gate_ns").Obs.hs_count;
+  Alcotest.(check int) "gauge holds the last value set" 4
+    (find_gauge snap "ddg_test_gate_level");
+  Obs.reset ();
+  Alcotest.(check int) "reset zeroes the gauge" 0
+    (find_gauge (Obs.snapshot ()) "ddg_test_gate_level")
 
 let test_fake_clock_is_deterministic () =
   with_clean_obs @@ fun () ->

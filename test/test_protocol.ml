@@ -30,20 +30,10 @@ let sample_stats =
   in
   Analyzer.analyze Config.default (Ddg_sim.Trace.of_list events)
 
-let sample_counters =
-  { Protocol.uptime_s = 12.5; connections = 3; requests_total = 10;
-    requests_ok = 8; requests_error = 2; busy_rejections = 1;
-    deadline_expirations = 1; latency_total_s = 0.75; latency_max_s = 0.25;
-    by_verb = [ ("analyze", 4); ("ping", 6) ]; simulations = 2; analyses = 4;
-    trace_store_hits = 1; stats_store_hits = 2; trace_mem_hits = 3;
-    trace_evictions = 1; trace_resident_bytes = 123_456; retries_served = 2;
-    worker_respawns = 1; artifact_quarantines = 3; injected_faults = 7;
-    remote_fetches = 5 }
-
 let sample_obs_snapshot =
   (* labelled counters, a sparse multi-bucket histogram and a registered
      but empty one, so the v3 metrics codec's sparse (index, count)
-     encoding is exercised end to end *)
+     encoding is exercised end to end, then the v9 gauges, per node *)
   { Ddg_obs.Obs.counters =
       [ { Ddg_obs.Obs.cs_name = "ddg_server_requests_total"; cs_labels = [];
           cs_value = 42 };
@@ -53,7 +43,12 @@ let sample_obs_snapshot =
       [ Ddg_obs.Obs.hist_of_samples ~name:"ddg_server_request_ns"
           ~labels:[ ("verb", "analyze") ]
           [ 0; 1; 5; 5; 1_000_000; 123_456_789 ];
-        Ddg_obs.Obs.hist_of_samples ~name:"ddg_pool_run_ns" [] ] }
+        Ddg_obs.Obs.hist_of_samples ~name:"ddg_pool_run_ns" [] ];
+    gauges =
+      [ { Ddg_obs.Obs.cs_name = "ddg_server_uptime_ns";
+          cs_labels = [ ("node", "node0") ]; cs_value = 12_500_000_000 };
+        { Ddg_obs.Obs.cs_name = "ddg_server_uptime_ns";
+          cs_labels = [ ("node", "node1") ]; cs_value = 0 } ] }
 
 let sample_frames =
   [ Protocol.Hello
@@ -87,7 +82,6 @@ let sample_frames =
         request = Simulate { workload = "doducx" } };
     Request
       { deadline_ms = 0; attempt = 0; request = Table { name = "table3" } };
-    Request { deadline_ms = 0; attempt = 0; request = Server_stats };
     Request { deadline_ms = 0; attempt = 0; request = Shutdown };
     Request { deadline_ms = 0; attempt = 2; request = Fsck };
     Request { deadline_ms = 0; attempt = 0; request = Metrics };
@@ -130,7 +124,6 @@ let sample_frames =
          { instructions = 1_000_000; syscalls = 42; output_bytes = 17;
            memory_footprint = 9000; trace_events = 1_000_123 });
     Ok_response (Rendered "Table 3\n\xc3\xa9\x00 binary-safe\n");
-    Ok_response (Telemetry sample_counters);
     Ok_response Shutting_down_ack;
     Ok_response
       (Fsck_report
@@ -246,6 +239,38 @@ let test_metrics_truncation_rejected () =
       (fun () -> Protocol.frame_of_string (String.sub bytes 0 n))
   done
 
+let test_gauge_count_bound () =
+  (* the gauge list is bounded before anything is allocated for it, as
+     the counter list is: [max_metrics] gauges travel, one more is
+     refused by the encoder and by the decoder *)
+  let snapshot n =
+    Protocol.Ok_response
+      (Metrics_snapshot
+         { Ddg_obs.Obs.counters = []; histograms = [];
+           gauges =
+             List.init n (fun i ->
+                 { Ddg_obs.Obs.cs_name = Printf.sprintf "g%d" i;
+                   cs_labels = []; cs_value = i }) })
+  in
+  let at_bound = snapshot Protocol.max_metrics in
+  check_canonical "max_metrics gauges" at_bound;
+  (match Protocol.frame_to_string (snapshot (Protocol.max_metrics + 1)) with
+  | (_ : string) -> Alcotest.fail "encoded max_metrics + 1 gauges"
+  | exception Protocol.Error _ -> ());
+  (* the frame one gauge past the bound, by hand: response tag 7, no
+     counters, no histograms, then the gauge count, whose varint
+     0x80 0x20 (4096) becomes 0x81 0x20 (4097), and one more gauge *)
+  let bytes = Protocol.frame_to_string at_bound in
+  let payload = Bytes.of_string (String.sub bytes 9 (String.length bytes - 9)) in
+  Alcotest.(check string) "payload prefix" "\x07\x00\x00\x80\x20"
+    (Bytes.sub_string payload 0 5);
+  Bytes.set payload 3 '\x81';
+  let payload = Bytes.to_string payload ^ "\x02gx\x00\x00" in
+  let length = Bytes.create 4 in
+  Bytes.set_int32_be length 0 (Int32.of_int (String.length payload));
+  expect_rejected "max_metrics + 1 gauges decoded" (fun () ->
+      Protocol.frame_of_string ("DDGP\x03" ^ Bytes.to_string length ^ payload))
+
 let test_garbage_rejected () =
   expect_rejected "empty" (fun () -> Protocol.frame_of_string "");
   expect_rejected "bad magic" (fun () ->
@@ -309,6 +334,20 @@ let test_truncated_payload () =
       match Protocol.read_frame_fd b with
       | (_ : Protocol.frame) -> Alcotest.fail "decoded truncated frame"
       | exception End_of_file -> ()
+      | exception Protocol.Error _ -> ())
+
+let test_fd_frame_cap () =
+  (* a header declaring one byte over the cap must be refused as it is
+     read, before any payload: without the check the reader would buffer
+     whatever the peer sends and end in End_of_file *)
+  with_socketpair (fun a b ->
+      let header = Bytes.of_string "DDGP\x02\x00\x00\x00\x00" in
+      Bytes.set_int32_be header 5 (Int32.of_int (Protocol.max_frame_bytes + 1));
+      let frame = Bytes.to_string header ^ "a few payload bytes" in
+      ignore (Unix.write_substring a frame 0 (String.length frame));
+      Unix.shutdown a SHUTDOWN_SEND;
+      match Protocol.read_frame_fd b with
+      | (_ : Protocol.frame) -> Alcotest.fail "decoded an oversized frame"
       | exception Protocol.Error _ -> ())
 
 let pump_frames a b =
@@ -383,7 +422,6 @@ let gen_request =
       Analyze { workload = name; config };
       Simulate { workload = name };
       Table { name };
-      Server_stats;
       Shutdown;
       Fsck;
       Metrics ]
@@ -461,6 +499,7 @@ let tests =
       test_bad_config_rejected;
     Alcotest.test_case "metrics snapshot truncations are rejected" `Quick
       test_metrics_truncation_rejected;
+    Alcotest.test_case "gauge count is bounded" `Quick test_gauge_count_bound;
     Alcotest.test_case "garbage frames are rejected" `Quick
       test_garbage_rejected;
     Alcotest.test_case "oversized frames rejected before allocation" `Quick
@@ -469,6 +508,8 @@ let tests =
       test_varint_overflow_rejected;
     Alcotest.test_case "truncated channel payload is safe" `Quick
       test_truncated_payload;
+    Alcotest.test_case "fd reader refuses a length over the cap" `Quick
+      test_fd_frame_cap;
     Alcotest.test_case "fd frame I/O round trips" `Quick test_fd_roundtrip;
     Alcotest.test_case "fd frame I/O survives EINTR and short transfers"
       `Quick test_fd_roundtrip_under_eintr_and_short_io;

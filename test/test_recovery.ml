@@ -361,12 +361,26 @@ let test_drain_mid_load () =
       (* the warm key migrated: survivors serve it byte-identically
          without recomputing anything *)
       Client.with_session ~retry_for_s:5.0 endpoint (fun s ->
-          Alcotest.(check string) "no warm key lost" warm (analyze_mtxx s);
-          match Client.call s Protocol.Server_stats with
-          | Protocol.Telemetry c ->
-              Alcotest.(check int) "survivors never re-simulated" 0
-                c.Protocol.simulations
-          | _ -> Alcotest.fail "expected Telemetry"));
+          Alcotest.(check string) "no warm key lost" warm (analyze_mtxx s));
+      (* each forked survivor counts its own simulations *)
+      let simulations (m : Fleet.member) =
+        Client.with_session ~retry_for_s:5.0 m.Fleet.endpoint (fun s ->
+            match Client.call s Protocol.Metrics with
+            | Protocol.Metrics_snapshot snap ->
+                List.fold_left
+                  (fun acc (h : Ddg_obs.Obs.hist_snapshot) ->
+                    if h.hs_name = "ddg_runner_simulate_ns" then
+                      acc + h.hs_count
+                    else acc)
+                  0 snap.histograms
+            | _ -> Alcotest.fail "expected Metrics_snapshot")
+      in
+      Alcotest.(check int) "survivors never re-simulated" 0
+        (List.fold_left
+           (fun acc (m : Fleet.member) ->
+             if List.mem m.Fleet.node members_after then acc + simulations m
+             else acc)
+           0 ctx_drain.members));
   fsck_clean ctx_drain;
   rm_rf ctx_drain.base
 

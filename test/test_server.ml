@@ -8,6 +8,8 @@ module Protocol = Ddg_protocol.Protocol
 module Server = Ddg_server.Server
 module Client = Ddg_server.Client
 module Runner = Ddg_experiments.Runner
+module Metrics = Ddg_server.Metrics
+module Obs = Ddg_obs.Obs
 
 let fresh_socket =
   let n = ref 0 in
@@ -108,10 +110,31 @@ let test_concurrent_clients () =
             results.(i))
         names)
 
-let counters client =
-  match Client.request client Protocol.Server_stats with
-  | Protocol.Telemetry c -> c
-  | _ -> Alcotest.fail "expected Telemetry"
+(* The daemon's work, read over the wire: the registry is process-global,
+   so the assertions below take deltas of snapshots around the action *)
+let metrics client =
+  match Client.request client Protocol.Metrics with
+  | Protocol.Metrics_snapshot s -> s
+  | _ -> Alcotest.fail "expected Metrics_snapshot"
+
+let counter ?label (s : Obs.snapshot) name =
+  List.fold_left
+    (fun acc (c : Obs.counter_snapshot) ->
+      if
+        c.Obs.cs_name = name
+        && match label with None -> true | Some kv -> List.mem kv c.cs_labels
+      then acc + c.cs_value
+      else acc)
+    0 s.Obs.counters
+
+let spans (s : Obs.snapshot) name =
+  List.fold_left
+    (fun acc (h : Obs.hist_snapshot) ->
+      if h.Obs.hs_name = name then acc + h.hs_count else acc)
+    0 s.Obs.histograms
+
+let simulations s = spans s "ddg_runner_simulate_ns"
+let analyses s = spans s "ddg_runner_analyze_ns"
 
 let test_warm_repeat_does_no_work () =
   with_server (fun endpoint _server ->
@@ -120,19 +143,21 @@ let test_warm_repeat_does_no_work () =
       Fun.protect
         ~finally:(fun () -> Client.close client)
         (fun () ->
+          let before = metrics client in
           let cold = request_stats client "mtxx" config in
-          let after_cold = counters client in
+          let after_cold = metrics client in
           Alcotest.(check int) "one simulation" 1
-            after_cold.Protocol.simulations;
-          Alcotest.(check int) "one analysis" 1 after_cold.Protocol.analyses;
+            (simulations after_cold - simulations before);
+          Alcotest.(check int) "one analysis" 1
+            (analyses after_cold - analyses before);
           let warm = request_stats client "mtxx" config in
-          let after_warm = counters client in
+          let after_warm = metrics client in
           Alcotest.(check string) "identical result" (stats_bytes cold)
             (stats_bytes warm);
           Alcotest.(check int) "still one simulation" 1
-            after_warm.Protocol.simulations;
+            (simulations after_warm - simulations before);
           Alcotest.(check int) "still one analysis" 1
-            after_warm.Protocol.analyses))
+            (analyses after_warm - analyses before)))
 
 let test_busy_backpressure () =
   with_server ~workers:1 ~max_inflight:1 (fun endpoint _server ->
@@ -213,6 +238,10 @@ let test_session_retries_through_busy () =
                     saw_busy := true
               done);
           Alcotest.(check bool) "daemon saturated" true !saw_busy;
+          let retries_before =
+            Client.with_connection ~retry_for_s:5.0 endpoint (fun client ->
+                counter (metrics client) "ddg_server_retries_served_total")
+          in
           let retry =
             { Client.default_retry with
               Client.attempts = 50;
@@ -227,9 +256,9 @@ let test_session_retries_through_busy () =
                 (Client.session_retries s > 0));
           (* the served retries show up in the daemon's counters *)
           Client.with_connection ~retry_for_s:5.0 endpoint (fun client ->
-              let c = counters client in
               Alcotest.(check bool) "retries_served counted" true
-                (c.Protocol.retries_served > 0))))
+                (counter (metrics client) "ddg_server_retries_served_total"
+                > retries_before))))
 
 let test_deadline_exceeded () =
   with_server (fun endpoint _server ->
@@ -350,6 +379,9 @@ let test_outcome_counters_partition_requests () =
      process-global (the obs registry outlives each server), so the
      invariant must hold over the accumulated totals too. *)
   with_server ~workers:1 ~max_inflight:1 (fun endpoint _server ->
+      let before =
+        Client.with_connection ~retry_for_s:5.0 endpoint metrics
+      in
       let client = connect endpoint in
       Fun.protect
         ~finally:(fun () -> Client.close client)
@@ -417,16 +449,18 @@ let test_outcome_counters_partition_requests () =
       Thread.join blocker;
       Alcotest.(check bool) "saw Busy" true !saw_busy;
       Client.with_connection ~retry_for_s:5.0 endpoint (fun client ->
-          let c = counters client in
+          let after = metrics client in
+          let outcome s name =
+            counter ~label:("outcome", name) s
+              "ddg_server_requests_outcome_total"
+          in
+          let provoked name = outcome after name - outcome before name > 0 in
           Alcotest.(check bool) "every outcome provoked" true
-            (c.Protocol.requests_ok > 0
-            && c.Protocol.requests_error > 0
-            && c.Protocol.busy_rejections > 0
-            && c.Protocol.deadline_expirations > 0);
+            (List.for_all provoked [ "ok"; "error"; "busy"; "deadline" ]);
           Alcotest.(check int) "total = ok + error + busy + deadline"
-            c.Protocol.requests_total
-            (c.Protocol.requests_ok + c.Protocol.requests_error
-            + c.Protocol.busy_rejections + c.Protocol.deadline_expirations)))
+            (counter after "ddg_server_requests_total")
+            (outcome after "ok" + outcome after "error" + outcome after "busy"
+            + outcome after "deadline")))
 
 let test_every_verb_has_a_series () =
   with_server (fun _ _ ->
@@ -441,6 +475,113 @@ let test_every_verb_has_a_series () =
                  && c.cs_labels = [ ("verb", verb) ])
                snapshot.Ddg_obs.Obs.counters))
         Protocol.verbs)
+
+(* [client stats] from a synthetic two-node snapshot, as a router
+   federates it: per-node gauges, the largest uptime, the rest summed *)
+let test_stats_report () =
+  let c ?(labels = []) name v =
+    { Obs.cs_name = name; cs_labels = labels; cs_value = v }
+  in
+  let on node = [ ("node", node) ] in
+  let snapshot =
+    { Obs.counters =
+        [ c "ddg_runner_cache_hits_total" ~labels:[ ("cache", "stats_mem") ] 9;
+          c "ddg_runner_cache_hits_total" ~labels:[ ("cache", "stats_store") ] 2;
+          c "ddg_runner_cache_hits_total" ~labels:[ ("cache", "trace_mem") ] 3;
+          c "ddg_runner_cache_hits_total" ~labels:[ ("cache", "trace_store") ] 1;
+          c "ddg_runner_remote_fetches_total" 5;
+          c "ddg_runner_trace_evictions_total" 1;
+          c "ddg_server_connections_total" 3;
+          c "ddg_server_requests_outcome_total" ~labels:[ ("outcome", "busy") ] 1;
+          c "ddg_server_requests_outcome_total"
+            ~labels:[ ("outcome", "deadline") ] 1;
+          c "ddg_server_requests_outcome_total" ~labels:[ ("outcome", "error") ] 1;
+          c "ddg_server_requests_outcome_total" ~labels:[ ("outcome", "ok") ] 7;
+          c "ddg_server_requests_total" 10;
+          c "ddg_server_requests_verb_total" ~labels:[ ("verb", "analyze") ] 4;
+          c "ddg_server_requests_verb_total" ~labels:[ ("verb", "ping") ] 6;
+          c "ddg_server_retries_served_total" 2 ];
+      histograms =
+        [ Obs.hist_of_samples ~name:"ddg_runner_analyze_ns" [ 5; 5; 5; 5 ];
+          Obs.hist_of_samples ~name:"ddg_runner_simulate_ns" [ 9; 9 ];
+          Obs.hist_of_samples ~name:"ddg_server_request_ns"
+            ~labels:[ ("verb", "analyze") ]
+            [ 250_000_000; 200_000_000; 100_000_000; 100_000_000 ];
+          Obs.hist_of_samples ~name:"ddg_server_request_ns"
+            ~labels:[ ("verb", "ping") ]
+            [ 25_000_000; 25_000_000; 25_000_000; 25_000_000; 0; 0 ] ];
+      gauges =
+        [ c "ddg_server_artifact_quarantines" ~labels:(on "node0") 1;
+          c "ddg_server_artifact_quarantines" ~labels:(on "node1") 2;
+          c "ddg_server_faults_injected" ~labels:(on "node0") 7;
+          c "ddg_server_faults_injected" ~labels:(on "node1") 0;
+          c "ddg_server_trace_resident_bytes" ~labels:(on "node0") 100_000;
+          c "ddg_server_trace_resident_bytes" ~labels:(on "node1") 23_456;
+          c "ddg_server_uptime_ns" ~labels:(on "node0") 12_500_000_000;
+          c "ddg_server_uptime_ns" ~labels:(on "node1") 3_000_000_000;
+          c "ddg_server_worker_respawns" ~labels:(on "node0") 0;
+          c "ddg_server_worker_respawns" ~labels:(on "node1") 1 ] }
+  in
+  let report json =
+    match Metrics.stats_report ~json snapshot with
+    | Ok text -> text
+    | Error msg -> Alcotest.failf "stats refused: %s" msg
+  in
+  Alcotest.(check string) "text"
+    "uptime: 12.5s, connections: 3\n\
+     requests: 10 total, 7 ok, 1 error (1 busy, 1 deadline)\n\
+     latency: 75.0 ms mean, 250.0 ms max\n\
+    \  analyze    4\n\
+    \  ping       6\n\
+     work: 2 simulations, 4 analyses\n\
+     caches: 3 trace mem hits, 1 trace store hits, 2 stats store hits\n\
+     traces resident: 123456 bytes, 1 evictions\n\
+     resilience: 2 retries served, 1 worker respawns, 3 artifacts \
+     quarantined, 7 faults injected\n\
+     cluster: 5 artifacts fetched from peers\n"
+    (report false);
+  Alcotest.(check string) "json"
+    "{\n\
+    \  \"uptime_s\": 12.5,\n\
+    \  \"connections\": 3,\n\
+    \  \"requests_total\": 10,\n\
+    \  \"requests_ok\": 7,\n\
+    \  \"requests_error\": 1,\n\
+    \  \"busy_rejections\": 1,\n\
+    \  \"deadline_expirations\": 1,\n\
+    \  \"latency_total_s\": 0.75,\n\
+    \  \"latency_max_s\": 0.25,\n\
+    \  \"by_verb\": {\n\
+    \    \"analyze\": 4,\n\
+    \    \"ping\": 6\n\
+    \  },\n\
+    \  \"simulations\": 2,\n\
+    \  \"analyses\": 4,\n\
+    \  \"trace_store_hits\": 1,\n\
+    \  \"stats_store_hits\": 2,\n\
+    \  \"trace_mem_hits\": 3,\n\
+    \  \"trace_evictions\": 1,\n\
+    \  \"trace_resident_bytes\": 123456,\n\
+    \  \"retries_served\": 2,\n\
+    \  \"worker_respawns\": 1,\n\
+    \  \"artifact_quarantines\": 3,\n\
+    \  \"injected_faults\": 7,\n\
+    \  \"remote_fetches\": 5\n\
+     }\n"
+    (report true);
+  (* no uptime gauge: no daemon answered, e.g. a router whose backends
+     are all unreachable *)
+  let orphan =
+    { snapshot with
+      Obs.gauges =
+        List.filter
+          (fun (g : Obs.counter_snapshot) ->
+            g.Obs.cs_name <> "ddg_server_uptime_ns")
+          snapshot.Obs.gauges }
+  in
+  match Metrics.stats_report ~json:false orphan with
+  | Ok _ -> Alcotest.fail "stats from a snapshot without a daemon"
+  | Error _ -> ()
 
 let test_pull_needs_a_cluster () =
   with_server (fun endpoint _ ->
@@ -497,6 +638,8 @@ let tests =
       test_outcome_counters_partition_requests;
     Alcotest.test_case "every verb has a request series" `Quick
       test_every_verb_has_a_series;
+    Alcotest.test_case "client stats renders a snapshot" `Quick
+      test_stats_report;
     Alcotest.test_case "pull is refused outside a cluster" `Quick
       test_pull_needs_a_cluster;
     Alcotest.test_case "trace LRU evicts past budget" `Quick
