@@ -193,7 +193,12 @@ let stats_report ~json (s : Obs.snapshot) =
            (if requests_total = 0 then 0.0
             else 1000.0 *. latency_total_s /. float_of_int requests_total)
            (1000.0 *. latency_max_s);
-         List.iter (fun (verb, n) -> line "  %-10s %d" verb n) by_verb;
+         let width =
+           List.fold_left
+             (fun w v -> max w (String.length v))
+             0 Ddg_protocol.Protocol.verbs
+         in
+         List.iter (fun (verb, n) -> line "  %-*s %d" width verb n) by_verb;
          line "work: %d simulations, %d analyses" simulations analyses;
          line "caches: %d trace mem hits, %d trace store hits, %d stats \
                store hits"

@@ -1,6 +1,6 @@
 #!/bin/sh
-# The mutant gate. Each *.patch in this directory is a one-line change to
-# lib, named for the rule it breaks. For each, copy the checkout, apply
+# The mutant gate. Each *.patch in this directory is a one- or two-line
+# change to lib, named for the rule it breaks. For each, copy the checkout, apply
 # the patch, build, and run the paragraph, properties, zerocopy and
 # protocol suites: they must fail. A patch that no longer applies or
 # builds, or that every suite passes, fails the gate and is named.

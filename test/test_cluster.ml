@@ -802,7 +802,9 @@ let test_routed_answers_are_canonical_bytes () =
 (* Served and routed answers against the reference transcription of the
    placement rule (test/reference.ml): for drawn tiny workloads and
    configurations, a backend asked directly and a 2-node router both
-   answer the reference's stats bytes. One fleet serves every case. *)
+   answer the reference's stats bytes. One fleet serves every case; a
+   1-node fleet (one owner for every key) and a 4-node one then check
+   the router half on a few cases each. *)
 let test_wire_matches_reference () =
   let local = Runner.create ~size:tiny () in
   let events = Hashtbl.create 16 in
@@ -823,17 +825,16 @@ let test_wire_matches_reference () =
       ~print:(fun ((w : Ddg_workloads.Workload.t), config) ->
         w.name ^ " under " ^ Config.describe config)
   in
+  let answer endpoint (w : Ddg_workloads.Workload.t) config =
+    Client.with_session ~retry_for_s:5.0 endpoint (fun s ->
+        match
+          Client.call ~deadline_ms:60_000 s
+            (Protocol.Analyze { workload = w.name; config })
+        with
+        | Protocol.Analyzed stats -> Ddg_paragraph.Stats_codec.to_string stats
+        | _ -> Alcotest.fail "expected Analyzed")
+  in
   with_fleet ~nodes:2 ~router:() (fun ~members ~backends:_ ~router_endpoint ->
-      let answer endpoint (w : Ddg_workloads.Workload.t) config =
-        Client.with_session ~retry_for_s:5.0 endpoint (fun s ->
-            match
-              Client.call ~deadline_ms:60_000 s
-                (Protocol.Analyze { workload = w.name; config })
-            with
-            | Protocol.Analyzed stats ->
-                Ddg_paragraph.Stats_codec.to_string stats
-            | _ -> Alcotest.fail "expected Analyzed")
-      in
       let backend = (List.hd members).Fleet.endpoint in
       QCheck.Test.check_exn
         (QCheck.Test.make ~count:20
@@ -841,7 +842,20 @@ let test_wire_matches_reference () =
            (fun (w, config) ->
              let want = reference w config in
              answer backend w config = want
-             && answer router_endpoint w config = want)))
+             && answer router_endpoint w config = want)));
+  List.iter
+    (fun nodes ->
+      with_fleet ~nodes ~router:()
+        (fun ~members:_ ~backends:_ ~router_endpoint ->
+          QCheck.Test.check_exn
+            (QCheck.Test.make ~count:4
+               ~name:
+                 (Printf.sprintf "routed analyses equal the reference at %d \
+                                  node(s)" nodes)
+               case
+               (fun (w, config) ->
+                 answer router_endpoint w config = reference w config))))
+    [ 1; 4 ]
 
 let test_scrub_repair () =
   with_fleet ~nodes:2 ~scrub_rate:500.0

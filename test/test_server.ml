@@ -499,6 +499,8 @@ let test_stats_report () =
           c "ddg_server_requests_outcome_total" ~labels:[ ("outcome", "ok") ] 7;
           c "ddg_server_requests_total" 10;
           c "ddg_server_requests_verb_total" ~labels:[ ("verb", "analyze") ] 4;
+          c "ddg_server_requests_verb_total"
+            ~labels:[ ("verb", "decommission") ] 0;
           c "ddg_server_requests_verb_total" ~labels:[ ("verb", "ping") ] 6;
           c "ddg_server_retries_served_total" 2 ];
       histograms =
@@ -531,8 +533,9 @@ let test_stats_report () =
     "uptime: 12.5s, connections: 3\n\
      requests: 10 total, 7 ok, 1 error (1 busy, 1 deadline)\n\
      latency: 75.0 ms mean, 250.0 ms max\n\
-    \  analyze    4\n\
-    \  ping       6\n\
+    \  analyze       4\n\
+    \  decommission  0\n\
+    \  ping          6\n\
      work: 2 simulations, 4 analyses\n\
      caches: 3 trace mem hits, 1 trace store hits, 2 stats store hits\n\
      traces resident: 123456 bytes, 1 evictions\n\
@@ -553,6 +556,7 @@ let test_stats_report () =
     \  \"latency_max_s\": 0.25,\n\
     \  \"by_verb\": {\n\
     \    \"analyze\": 4,\n\
+    \    \"decommission\": 0,\n\
     \    \"ping\": 6\n\
     \  },\n\
     \  \"simulations\": 2,\n\
