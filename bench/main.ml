@@ -527,7 +527,8 @@ let run_fault_bench () =
       let payload = String.make 4096 'x' in
       let roundtrip () =
         for _ = 1 to roundtrips do
-          Ddg_store.Store.put store ~kind:"bench" ~key:"probe" (fun oc ->
+          Ddg_store.Store.put store ~kind:"bench" ~key:"probe"
+            ~length:(String.length payload) (fun oc ->
               output_string oc payload);
           match
             Ddg_store.Store.find store ~kind:"bench" ~key:"probe" (fun ic ->

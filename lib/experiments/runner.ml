@@ -160,17 +160,33 @@ let advise_key t (w : Workload.t) config =
 
 (* --- trace artifacts: a Machine.result header, then the trace stream ------- *)
 
-let write_result oc (r : Ddg_sim.Machine.result) =
+(* Rendered before the put, in [Store.write_varint]'s encoding, so the
+   put can declare the payload's length up front. *)
+let result_prefix (r : Ddg_sim.Machine.result) =
+  let b = Buffer.create 64 in
+  let rec varint v =
+    if v < 0 then invalid_arg "Runner: negative varint"
+    else if v < 0x80 then Buffer.add_uint8 b v
+    else begin
+      Buffer.add_uint8 b ((v land 0x7F) lor 0x80);
+      varint (v lsr 7)
+    end
+  in
+  let string s =
+    varint (String.length s);
+    Buffer.add_string b s
+  in
   (match r.stop with
-  | Ddg_sim.Machine.Halted -> Store.write_varint oc 0
-  | Ddg_sim.Machine.Instruction_limit -> Store.write_varint oc 1
+  | Ddg_sim.Machine.Halted -> varint 0
+  | Ddg_sim.Machine.Instruction_limit -> varint 1
   | Ddg_sim.Machine.Fault msg ->
-      Store.write_varint oc 2;
-      Store.write_string oc msg);
-  Store.write_varint oc r.instructions;
-  Store.write_varint oc r.syscalls;
-  Store.write_string oc r.output;
-  Store.write_varint oc r.memory_footprint
+      varint 2;
+      string msg);
+  varint r.instructions;
+  varint r.syscalls;
+  string r.output;
+  varint r.memory_footprint;
+  Buffer.contents b
 
 let read_result ic : Ddg_sim.Machine.result =
   let stop =
@@ -188,11 +204,11 @@ let read_result ic : Ddg_sim.Machine.result =
 
 (* A failed cache write (disk full, permissions) degrades to uncached
    operation; it never fails the experiment. *)
-let try_put t ~kind ~key ~wall write_payload =
+let try_put t ~kind ~key ~wall ~length write_payload =
   match t.store with
   | None -> ()
   | Some s -> (
-      try Store.put s ~kind ~key ~wall write_payload
+      try Store.put s ~kind ~key ~wall ~length write_payload
       with Sys_error msg ->
         t.progress (Printf.sprintf "store write failed (%s): %s" kind msg))
 
@@ -324,10 +340,12 @@ let trace_aux t (w : Workload.t) ~marks =
                   (Format.asprintf "workload %s did not halt: %a" w.name
                      Ddg_sim.Machine.pp_stop_reason s));
             locked t (fun () -> t.n_simulations <- t.n_simulations + 1);
+            let prefix = result_prefix result in
             try_put t ~kind:"trace" ~key
               ~wall:(Unix.gettimeofday () -. t0)
+              ~length:(String.length prefix + Ddg_sim.Trace_io.flat_length tr)
               (fun oc ->
-                write_result oc result;
+                output_string oc prefix;
                 Ddg_sim.Trace_io.write_channel_flat oc tr);
             (result, tr)
       in
@@ -374,7 +392,8 @@ let find_store_stats t w config =
 (* A fresh answer is encoded once; the same string goes to the store,
    the memory tier and the wire. *)
 let put_bytes t ~kind ~key ~wall bytes =
-  try_put t ~kind ~key ~wall (fun oc -> output_string oc bytes);
+  try_put t ~kind ~key ~wall ~length:(String.length bytes) (fun oc ->
+      output_string oc bytes);
   bytes
 
 let cached_bytes t tier ~mem_hit ~what (w : Workload.t) config ~find ~compute =

@@ -355,6 +355,8 @@ let iter_marks f t =
     f (get_mark t i)
   done
 
+let mark_columns t = (t.mark_pos, t.mark_kind, t.mark_loop)
+
 let set_loops t loops = t.loop_table <- loops
 let loops t = t.loop_table
 

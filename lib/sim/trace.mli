@@ -198,6 +198,12 @@ val get_mark : t -> int -> mark
 
 val iter_marks : (mark -> unit) -> t -> unit
 
+val mark_columns : t -> int array * Bytes.t * int array
+(** The mark sidecar's own storage, for encoders that must not allocate
+    per mark: positions, {!mark_kind_tag} bytes and loop ids. Entries
+    [0 .. num_marks - 1] are the marks; the storage is shared, not
+    copied, so do not modify it. *)
+
 val set_loops : t -> Ddg_isa.Loop.t array -> unit
 (** Install the loop-descriptor table (the array is not copied). *)
 

@@ -223,8 +223,10 @@ let write_file path trace =
      trailer  16-byte MD5 of everything before it, then "DDGTRC3E"
 
    All padding is zero. The digest sits in a trailer (not the header) so
-   the writer can stream columns to disk and digest the finished file in
-   one chunked pass. *)
+   a writer can stream the sections to disk and append the digest last:
+   [write_channel_flat] digests each window as it writes it, the
+   streaming [flat_writer] reads the finished file back in one chunked
+   pass. *)
 
 let header_bytes = 40
 let trailer_bytes = 24
@@ -346,43 +348,99 @@ let aux_blob trace =
 
 let set64 b off v = Bytes.set_int64_le b off (Int64.of_int v)
 
+let flat_parts trace =
+  let aux = aux_blob trace in
+  ( aux,
+    layout ~events:(Trace.length trace) ~locs:(Trace.num_locs trace)
+      ~marks:(Trace.num_marks trace) ~aux:(String.length aux) )
+
+let flat_length trace = (snd (flat_parts trace)).total
+
+(* The runtime's incremental MD5 (trace_io_stubs.c), its context held in
+   a bytes value. *)
+external md5_size : unit -> int = "ddg_trace_io_md5_size" [@@noalloc]
+external md5_init : Bytes.t -> unit = "ddg_trace_io_md5_init" [@@noalloc]
+
+external md5_update : Bytes.t -> Bytes.t -> int -> int -> unit
+  = "ddg_trace_io_md5_update"
+[@@noalloc]
+
+external md5_final : Bytes.t -> Bytes.t -> unit = "ddg_trace_io_md5_final"
+[@@noalloc]
+
+let window_rows = 65536
+
+(* The writer encodes each section into one window of [window_rows]
+   8-byte rows, then feeds it to the trailer digest and writes it out,
+   so no buffer covers more than one window. *)
+type sink = { oc : out_channel; win : Bytes.t; md5 : Bytes.t }
+
+(* A stop-the-world collection in another domain waits for a C call to
+   return, so the digest takes a window 64 KiB at a time: no call runs
+   for more than about 0.1 ms. *)
+let digest_step = 65536
+
+let emit s len =
+  let rec digest off =
+    if off < len then begin
+      md5_update s.md5 s.win off (min digest_step (len - off));
+      digest (off + digest_step)
+    end
+  in
+  digest 0;
+  output s.oc s.win 0 len
+
+(* rows [0, n) of a section, [put k i] encoding row [i] at window slot
+   [k], [stride] bytes a row; a byte section is then padded to 8 *)
+let emit_section s ~stride n put =
+  let rec go base =
+    if base < n then begin
+      let w = min window_rows (n - base) in
+      for k = 0 to w - 1 do
+        put k (base + k)
+      done;
+      emit s (stride * w);
+      go (base + w)
+    end
+  in
+  go 0;
+  let pad = pad8 (stride * n) - (stride * n) in
+  Bytes.fill s.win 0 pad '\000';
+  emit s pad
+
+let emit_words s n get =
+  emit_section s ~stride:8 n (fun k i -> set64 s.win (8 * k) (get i))
+
+let emit_bytes s n get =
+  emit_section s ~stride:1 n (fun k i -> Bytes.unsafe_set s.win k (get i))
+
 let write_channel_flat oc trace =
   let cols = Trace.columns trace in
-  let aux = aux_blob trace in
-  let nlocs = Trace.num_locs trace in
-  let nmarks = Trace.num_marks trace in
-  let lay =
-    layout ~events:cols.n ~locs:nlocs ~marks:nmarks ~aux:(String.length aux)
+  let aux, lay = flat_parts trace in
+  let s =
+    { oc; win = Bytes.create (8 * window_rows); md5 = Bytes.create (md5_size ()) }
   in
-  let body = Bytes.make lay.o_digest '\000' in
-  Bytes.blit_string magic_v3 0 body 0 8;
-  set64 body 8 lay.l_events;
-  set64 body 16 lay.l_locs;
-  set64 body 24 lay.l_marks;
-  set64 body 32 lay.l_aux;
-  for i = 0 to cols.n - 1 do
-    Bytes.unsafe_set body (lay.o_flags + i) (BA1.unsafe_get cols.flags i);
-    set64 body (lay.o_pcs + (8 * i)) cols.pcs.{i};
-    set64 body (lay.o_dsts + (8 * i)) cols.dsts.{i};
-    set64 body (lay.o_src0 + (8 * i)) cols.src0.{i};
-    set64 body (lay.o_src1 + (8 * i)) cols.src1.{i};
-    set64 body (lay.o_src2 + (8 * i)) cols.src2.{i}
-  done;
-  for id = 0 to nlocs - 1 do
-    set64 body (lay.o_locs + (8 * id))
-      (Ddg_isa.Loc.to_code (Trace.loc_of_id trace id))
-  done;
-  for m = 0 to nmarks - 1 do
-    let { Trace.pos; kind; loop } = Trace.get_mark trace m in
-    set64 body (lay.o_mpos + (8 * m)) pos;
-    Bytes.unsafe_set body (lay.o_mkind + m)
-      (Char.chr (Trace.mark_kind_tag kind));
-    set64 body (lay.o_mloop + (8 * m)) loop
-  done;
-  Bytes.blit_string aux 0 body lay.o_aux (String.length aux);
-  let digest = Digest.subbytes body 0 lay.o_digest in
-  output_bytes oc body;
-  output_string oc digest;
+  md5_init s.md5;
+  Bytes.blit_string magic_v3 0 s.win 0 8;
+  set64 s.win 8 lay.l_events;
+  set64 s.win 16 lay.l_locs;
+  set64 s.win 24 lay.l_marks;
+  set64 s.win 32 lay.l_aux;
+  emit s header_bytes;
+  emit_bytes s cols.n (fun i -> BA1.unsafe_get cols.flags i);
+  List.iter
+    (fun (col : Trace.int_col) -> emit_words s cols.n (BA1.unsafe_get col))
+    [ cols.pcs; cols.dsts; cols.src0; cols.src1; cols.src2 ];
+  emit_words s lay.l_locs (fun id ->
+      Ddg_isa.Loc.to_code (Trace.loc_of_id trace id));
+  let mpos, mkind, mloop = Trace.mark_columns trace in
+  emit_words s lay.l_marks (Array.unsafe_get mpos);
+  emit_bytes s lay.l_marks (Bytes.unsafe_get mkind);
+  emit_words s lay.l_marks (Array.unsafe_get mloop);
+  emit_bytes s lay.l_aux (String.unsafe_get aux);
+  let digest = Bytes.create 16 in
+  md5_final s.md5 digest;
+  output_bytes oc digest;
   output_string oc trailer_v3
 
 let write_file_flat path trace =

@@ -68,7 +68,16 @@ val read_file : string -> Trace.t
 (** {1 Flat format (version 3)} *)
 
 val write_channel_flat : out_channel -> Trace.t -> unit
-(** Write the flat encoding of a whole in-memory trace. *)
+(** Write the flat encoding of a whole in-memory trace, exactly
+    {!flat_length} bytes. Each section streams through one window buffer
+    of 65536 8-byte rows: a window is encoded, fed to the trailer digest
+    (the runtime's incremental MD5, 64 KiB per call) and written before
+    the next, so the writer allocates that one buffer whatever the
+    trace's size, and no single C call covers more than 64 KiB. *)
+
+val flat_length : Trace.t -> int
+(** The byte length of the trace's flat encoding, header to trailer,
+    known before it is written (a store put declares it up front). *)
 
 val write_file_flat : string -> Trace.t -> unit
 

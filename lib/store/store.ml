@@ -160,14 +160,17 @@ type info = {
   i_length : int;     (* payload bytes *)
 }
 
+(* returns the file offset of the digest, which [put] patches in place *)
 let write_header oc info =
   output_string oc magic;
   write_string oc info.i_kind;
   write_string oc info.i_key;
   write_float oc info.i_created;
   write_float oc info.i_wall;
+  let digest_at = pos_out oc in
   output_string oc info.i_digest;
-  write_varint oc info.i_length
+  write_varint oc info.i_length;
+  digest_at
 
 let read_header ic =
   let buf = Bytes.create (String.length magic) in
@@ -265,7 +268,57 @@ let truncate_file path =
       let size = (Unix.fstat fd).Unix.st_size in
       Unix.ftruncate fd (size / 2))
 
-let put t ~kind ~key ?(wall = 0.0) write_payload =
+(* The one install path. The final header goes first, its digest
+   zeroed, then the payload straight into the artifact temp; once
+   exactly [length] bytes are there, one chunked pass digests them and
+   the digest is patched in. Then fsync, rename and fsync the
+   directory. *)
+let install t ~kind ~key ~wall ~length write_payload =
+  let tmp = temp_name t "art" in
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists tmp then Sys.remove tmp)
+    (fun () ->
+      let oc = open_out_bin tmp in
+      Fun.protect
+        ~finally:(fun () -> close_out_noerr oc)
+        (fun () ->
+          let digest_at =
+            write_header oc
+              { i_kind = kind; i_key = key;
+                i_created = Unix.gettimeofday (); i_wall = wall;
+                i_digest = String.make 16 '\000'; i_length = length }
+          in
+          let start = pos_out oc in
+          write_payload oc;
+          flush oc;
+          let written = pos_out oc - start in
+          if written <> length then
+            invalid_arg
+              (Printf.sprintf "Store.put: %d payload bytes written, %d declared"
+                 written length);
+          let ic = open_in_bin tmp in
+          let digest =
+            Fun.protect
+              ~finally:(fun () -> close_in_noerr ic)
+              (fun () ->
+                seek_in ic start;
+                Digest.channel ic length)
+          in
+          seek_out oc digest_at;
+          output_string oc digest;
+          flush oc;
+          (* the artifact must be on disk before the rename makes it
+             visible: rename-then-crash must never yield a manifest
+             entry over a hole *)
+          fsync_channel oc);
+      (* a torn write: the file loses its tail between the writer's
+         last byte and the rename — exactly what the checksummed
+         header exists to catch on the next [find] *)
+      if Ddg_fault.Fault.fire "store.put.torn" then truncate_file tmp;
+      Sys.rename tmp (artifact_path t ~kind ~key);
+      fsync_dir t.root)
+
+let put t ~kind ~key ?(wall = 0.0) ?length write_payload =
   Obs.time span_put @@ fun () ->
   Obs.incr puts_total;
   if kind = "" || String.contains kind '/' then
@@ -274,50 +327,26 @@ let put t ~kind ~key ?(wall = 0.0) write_payload =
     raise
       (Sys_error
          (Printf.sprintf "%s: No space left on device (fault-injected)" t.root));
-  let payload = temp_name t "payload" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove payload with Sys_error _ -> ())
-    (fun () ->
-      let oc = open_out_bin payload in
+  (match length with
+  | Some length -> install t ~kind ~key ~wall ~length write_payload
+  | None ->
+      (* no declared length: spool the payload to learn it *)
+      let spool = temp_name t "payload" in
       Fun.protect
-        ~finally:(fun () -> close_out_noerr oc)
+        ~finally:(fun () -> try Sys.remove spool with Sys_error _ -> ())
         (fun () ->
-          write_payload oc;
-          flush oc);
-      let i_digest = Digest.file payload in
-      let i_length =
-        let ic = open_in_bin payload in
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () -> in_channel_length ic)
-      in
-      let tmp = temp_name t "art" in
-      Fun.protect
-        ~finally:(fun () -> if Sys.file_exists tmp then Sys.remove tmp)
-        (fun () ->
-          let oc = open_out_bin tmp in
+          let oc = open_out_bin spool in
           Fun.protect
             ~finally:(fun () -> close_out_noerr oc)
             (fun () ->
-              write_header oc
-                { i_kind = kind; i_key = key;
-                  i_created = Unix.gettimeofday (); i_wall = wall; i_digest;
-                  i_length };
-              let ic = open_in_bin payload in
-              Fun.protect
-                ~finally:(fun () -> close_in_noerr ic)
-                (fun () -> copy_channel ic oc);
-              flush oc;
-              (* the artifact must be on disk before the rename makes it
-                 visible: rename-then-crash must never yield a manifest
-                 entry over a hole *)
-              fsync_channel oc);
-          (* a torn write: the file loses its tail between the writer's
-             last byte and the rename — exactly what the checksummed
-             header exists to catch on the next [find] *)
-          if Ddg_fault.Fault.fire "store.put.torn" then truncate_file tmp;
-          Sys.rename tmp (artifact_path t ~kind ~key);
-          fsync_dir t.root));
+              write_payload oc;
+              flush oc);
+          let ic = open_in_bin spool in
+          Fun.protect
+            ~finally:(fun () -> close_in_noerr ic)
+            (fun () ->
+              install t ~kind ~key ~wall ~length:(in_channel_length ic)
+                (copy_channel ic))));
   refresh_manifest t
 
 (* --- find / quarantine ------------------------------------------------------ *)

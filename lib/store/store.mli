@@ -58,13 +58,27 @@ val artifact_path : t -> kind:string -> key:string -> string
     exists). Exposed for tests and diagnostics. *)
 
 val put :
-  t -> kind:string -> key:string -> ?wall:float -> (out_channel -> unit) -> unit
-(** Write one artifact atomically: the callback streams the payload to a
-    temp file, the checksummed header is prepended, and the result is
-    renamed into place, replacing any previous artifact for the same
-    [(kind, key)]. [wall] (default 0) is the wall-clock seconds the
-    producing job took, recorded in the header and the manifest.
-    [kind] must be non-empty and contain no [/].
+  t ->
+  kind:string ->
+  key:string ->
+  ?wall:float ->
+  ?length:int ->
+  (out_channel -> unit) ->
+  unit
+(** Write one artifact atomically, replacing any previous artifact for
+    the same [(kind, key)]. Given [length], the payload's exact byte
+    count, the store writes the final header first (its digest zeroed),
+    then the callback streams the payload straight into the artifact's
+    temp file after it. One chunked pass over those bytes computes the
+    digest, which is patched into the header; the file is then fsynced
+    and renamed into place. The payload is written once and read back
+    once, and the store holds no more of it than a channel buffer.
+    Without [length] the callback's output is spooled to a second temp
+    file first, then installed the same way. [wall] (default 0) is the
+    wall-clock seconds the producing job took, recorded in the header
+    and the manifest. [kind] must be non-empty and contain no [/].
+    @raise Invalid_argument when the callback writes other than
+    [length] bytes; nothing is installed and no temp file is left.
     @raise Sys_error on I/O failure (callers typically degrade to
     uncached operation). *)
 

@@ -1,9 +1,10 @@
 #!/bin/sh
 # The mutant gate. Each *.patch in this directory is a one- or two-line
 # change to lib, named for the rule it breaks. For each, copy the checkout, apply
-# the patch, build, and run the paragraph, properties, zerocopy and
-# protocol suites: they must fail. A patch that no longer applies or
-# builds, or that every suite passes, fails the gate and is named.
+# the patch, build, and run the paragraph, properties, zerocopy,
+# protocol and store suites: they must fail. A patch that no longer
+# applies or builds, or that every suite passes, fails the gate and is
+# named.
 #
 #   sh test/mutants/run.sh        # from the repository root
 #
@@ -24,7 +25,7 @@ for patch in "$root"/test/mutants/*.patch; do
     status=1
   else
     failed=$(cd "$work" \
-      && for suite in paragraph properties zerocopy protocol; do
+      && for suite in paragraph properties zerocopy protocol store; do
            ./_build/default/test/test_main.exe test "$suite" --color=never \
              2>&1 | sed -nE 's/^[ >]+\[FAIL\] +//p'
          done | sort -u)

@@ -8,8 +8,8 @@
    fds return to baseline.
 
    This is a separate test binary because the supervisor forks its
-   single-threaded spawner child at creation: every context below is
-   built at module initialisation, before Alcotest (or anything else)
+   single-threaded spawner child at creation: every context is built at
+   the top of the main function, before Alcotest (or anything else)
    creates a thread, so each fork happens from a single-threaded
    process. The spawner children idle on a pipe until their test runs. *)
 
@@ -98,12 +98,6 @@ let backend_chaos_sites =
      digest check must reject them); both degrade to local recompute *)
   let site p b = { Fault.probability = p; budget = Some b } in
   [ ("cluster.forward.fail", site 0.2 3); ("cluster.fetch.corrupt", site 0.2 3) ]
-
-let ctx_ref = make_ctx "ref"
-let ctx_chaos_a = make_ctx "chaosa" ~backend_faults:(4101, backend_chaos_sites)
-let ctx_chaos_b = make_ctx "chaosb" ~backend_faults:(4202, backend_chaos_sites)
-let ctx_drain = make_ctx "drain"
-let ctx_flap = make_ctx "flap" ~flap_max:2 ~backoff_base_s:0.02
 
 (* --- fleet plumbing ------------------------------------------------------------ *)
 
@@ -209,15 +203,15 @@ let require_reference () =
 
 (* --- tests ---------------------------------------------------------------------- *)
 
-let test_reference () =
-  with_router ctx_ref (fun _router endpoint ->
+let test_reference ctx () =
+  with_router ctx (fun _router endpoint ->
       reference := run_script ~seed:1 endpoint;
       Alcotest.(check int) "five responses" 5 (List.length !reference);
       (* a warm second pass serves byte-identically from the stores *)
       Alcotest.(check (list string))
         "warm serve byte-identical" !reference (run_script ~seed:2 endpoint));
-  fsck_clean ctx_ref;
-  rm_rf ctx_ref.base
+  fsck_clean ctx;
+  rm_rf ctx.base
 
 let parent_chaos_sites =
   (* router/client-side chaos: dropped relays, short transfers, EINTR,
@@ -229,7 +223,7 @@ let parent_chaos_sites =
     ("proto.write.short", site 0.2 100);
     ("proto.conn.drop", site 0.02 2) ]
 
-let test_chaos ctx seed () =
+let test_chaos seed ctx () =
   require_reference ();
   let fds_before = open_fd_count () in
   with_router ctx (fun router endpoint ->
@@ -283,9 +277,9 @@ let test_chaos ctx seed () =
   check_fds_settle fds_before;
   rm_rf ctx.base
 
-let test_drain_mid_load () =
+let test_drain_mid_load ctx () =
   require_reference ();
-  with_router ctx_drain (fun _router endpoint ->
+  with_router ctx (fun _router endpoint ->
       let analyze_mtxx s =
         match
           Client.call ~deadline_ms s
@@ -301,7 +295,7 @@ let test_drain_mid_load () =
         Ring.owner
           (Ring.create
              (List.map (fun (m : Fleet.member) -> m.Fleet.node)
-                ctx_drain.members))
+                ctx.members))
           "mtxx/tiny"
       in
       (* hammer the warm key while its owner is drained out from under
@@ -353,8 +347,8 @@ let test_drain_mid_load () =
       (* a drain is a retirement, not a crash: no respawn, ever *)
       Thread.delay 1.0;
       Alcotest.(check int) "no respawn of the drained node" 0
-        (Fleet.supervisor_respawns ctx_drain.sup);
-      (match List.assoc owner (Fleet.supervisor_status ctx_drain.sup) with
+        (Fleet.supervisor_respawns ctx.sup);
+      (match List.assoc owner (Fleet.supervisor_status ctx.sup) with
       | `Decommissioned -> ()
       | `Running _ | `Restarting ->
           Alcotest.fail "drained node was respawned");
@@ -380,12 +374,12 @@ let test_drain_mid_load () =
            (fun acc (m : Fleet.member) ->
              if List.mem m.Fleet.node members_after then acc + simulations m
              else acc)
-           0 ctx_drain.members));
-  fsck_clean ctx_drain;
-  rm_rf ctx_drain.base
+           0 ctx.members));
+  fsck_clean ctx;
+  rm_rf ctx.base
 
-let test_flap_decommission () =
-  with_router ctx_flap (fun router endpoint ->
+let test_flap_decommission ctx () =
+  with_router ctx (fun router endpoint ->
       let victim = "node0" in
       let give_up = Unix.gettimeofday () +. 20.0 in
       (* kill the victim every time it comes back until the flap cap
@@ -393,10 +387,10 @@ let test_flap_decommission () =
       let rec churn () =
         if Unix.gettimeofday () > give_up then
           Alcotest.fail "flap cap never tripped";
-        match List.assoc victim (Fleet.supervisor_status ctx_flap.sup) with
+        match List.assoc victim (Fleet.supervisor_status ctx.sup) with
         | `Decommissioned -> ()
         | `Running _ ->
-            Fleet.supervisor_kill ctx_flap.sup victim;
+            Fleet.supervisor_kill ctx.sup victim;
             Thread.delay 0.05;
             churn ()
         | `Restarting ->
@@ -405,7 +399,7 @@ let test_flap_decommission () =
       in
       churn ();
       Alcotest.(check bool) "it was respawned before the cap tripped" true
-        (Fleet.supervisor_respawns ctx_flap.sup >= 1);
+        (Fleet.supervisor_respawns ctx.sup >= 1);
       (* the decommission flowed into the router: the ring dropped the
          flapping node and the survivors keep serving *)
       poll_until ~timeout_s:5.0 "router dropped the flapping node" (fun () ->
@@ -417,18 +411,39 @@ let test_flap_decommission () =
           with
           | Protocol.Analyzed _ -> ()
           | _ -> Alcotest.fail "survivors stopped serving"));
-  rm_rf ctx_flap.base
+  rm_rf ctx.base
+
+(* [list], [--help] and [--version] run no test, so they build no
+   context: no scratch directory, no spawner. Otherwise every context is
+   built here, before Alcotest runs anything, so each fork still happens
+   before the first thread exists. *)
+let runs_tests =
+  match Array.to_list Sys.argv with
+  | _ :: ("list" | "--version") :: _ -> false
+  | _ :: arg :: _ -> not (String.starts_with ~prefix:"--help" arg)
+  | _ -> true
 
 let () =
+  let ctx ?flap_max ?backoff_base_s ?backend_faults name =
+    if not runs_tests then None
+    else Some (make_ctx ?flap_max ?backoff_base_s ?backend_faults name)
+  in
+  let case name ctx test =
+    Alcotest.test_case name `Quick (fun () -> test (Option.get ctx) ())
+  in
+  let ref_ = ctx "ref" in
+  let chaos_a = ctx "chaosa" ~backend_faults:(4101, backend_chaos_sites) in
+  let chaos_b = ctx "chaosb" ~backend_faults:(4202, backend_chaos_sites) in
+  let drain = ctx "drain" in
+  let flap = ctx "flap" ~flap_max:2 ~backoff_base_s:0.02 in
   Alcotest.run "ddg-recovery"
     [ ( "recovery",
-        [ Alcotest.test_case "fault-free supervised fleet (reference)" `Quick
-            test_reference;
-          Alcotest.test_case "fleet chaos seed 4101: kill every backend"
-            `Quick (test_chaos ctx_chaos_a 4101);
-          Alcotest.test_case "fleet chaos seed 4202: kill every backend"
-            `Quick (test_chaos ctx_chaos_b 4202);
-          Alcotest.test_case "decommission mid-load loses no warm key" `Quick
+        [ case "fault-free supervised fleet (reference)" ref_ test_reference;
+          case "fleet chaos seed 4101: kill every backend" chaos_a
+            (test_chaos 4101);
+          case "fleet chaos seed 4202: kill every backend" chaos_b
+            (test_chaos 4202);
+          case "decommission mid-load loses no warm key" drain
             test_drain_mid_load;
-          Alcotest.test_case "a flapping backend is retired, not respawned"
-            `Quick test_flap_decommission ] ) ]
+          case "a flapping backend is retired, not respawned" flap
+            test_flap_decommission ] ) ]

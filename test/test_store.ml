@@ -83,6 +83,68 @@ let test_overwrite () =
       in
       Alcotest.(check (option int)) "latest write wins" (Some 2) v)
 
+(* An artifact file's header fields after the kind and key, and its
+   payload. *)
+let read_artifact path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () ->
+      ignore (really_input_string ic 8);
+      ignore (Store.read_string ic);
+      ignore (Store.read_string ic);
+      ignore (Store.read_float ic);
+      let wall = Store.read_float ic in
+      let digest = really_input_string ic 16 in
+      let length = Store.read_varint ic in
+      let payload = really_input_string ic (in_channel_length ic - pos_in ic) in
+      (wall, digest, length, payload))
+
+let temp_files store =
+  Sys.readdir (Store.dir store)
+  |> Array.to_list
+  |> List.filter (String.starts_with ~prefix:"tmp.")
+
+(* A put that declares its length writes the artifact once, header
+   first; one that does not spools the payload first. Both must yield
+   the same payload under the same header digest. *)
+let test_put_declared_length () =
+  with_store (fun store ->
+      let payload = String.init 300_000 (fun i -> Char.chr (i * 7 mod 251)) in
+      let write oc = output_string oc payload in
+      Store.put store ~kind:"sample" ~key:"spooled" ~wall:0.5 write;
+      Store.put store ~kind:"sample" ~key:"declared" ~wall:0.5
+        ~length:(String.length payload) write;
+      let art key =
+        read_artifact (Store.artifact_path store ~kind:"sample" ~key)
+      in
+      List.iter
+        (fun key ->
+          let wall, digest, length, got = art key in
+          Alcotest.(check (float 0.0)) (key ^ ": wall") 0.5 wall;
+          Alcotest.(check string) (key ^ ": header digest")
+            (Digest.to_hex (Digest.string payload)) (Digest.to_hex digest);
+          Alcotest.(check int) (key ^ ": header length") (String.length payload)
+            length;
+          Alcotest.(check bool) (key ^ ": payload") true (got = payload))
+        [ "spooled"; "declared" ];
+      Alcotest.(check (list string)) "no temp file left" [] (temp_files store))
+
+let test_put_length_mismatch () =
+  with_store (fun store ->
+      List.iter
+        (fun declared ->
+          match
+            Store.put store ~kind:"sample" ~key:"k" ~length:declared (fun oc ->
+                output_string oc "twelve bytes")
+          with
+          | () -> Alcotest.failf "12 bytes put under ~length:%d" declared
+          | exception Invalid_argument _ -> ())
+        [ 0; 11; 13 ];
+      Alcotest.(check bool) "nothing installed" false
+        (Sys.file_exists (Store.artifact_path store ~kind:"sample" ~key:"k"));
+      Alcotest.(check (list string)) "no temp file left" [] (temp_files store))
+
 let quarantined_count store =
   if Sys.file_exists (Store.quarantine_dir store) then
     Array.length (Sys.readdir (Store.quarantine_dir store))
@@ -394,6 +456,31 @@ let test_fsck_counts_missing () =
           swept_temps = 0 }
         (Store.fsck store))
 
+(* Import installs a transfer only after its digest checks out: a
+   payload bit flipped in transit leaves the store as it was. *)
+let test_import_checks_digest () =
+  with_store (fun source ->
+      with_store (fun dest ->
+          put_sample source ~key:"k";
+          let raw =
+            read_bytes (Store.artifact_path source ~kind:"sample" ~key:"k")
+          in
+          let flipped = Bytes.of_string raw in
+          let i = Bytes.length flipped - 3 in
+          Bytes.set flipped i
+            (Char.chr (Char.code (Bytes.get flipped i) lxor 0x40));
+          Alcotest.(check bool) "a corrupt transfer is refused" true
+            (Store.import dest (fun oc -> output_bytes oc flipped) = None);
+          Alcotest.(check bool) "and installs nothing" true
+            (find_sample dest ~key:"k" = None);
+          Alcotest.(check (list string)) "nor leaves a temp file" []
+            (temp_files dest);
+          Alcotest.(check bool) "the intact transfer is installed" true
+            (Store.import dest (fun oc -> output_string oc raw)
+            = Some ("sample", "k"));
+          Alcotest.(check bool) "and served" true
+            (find_sample dest ~key:"k" <> None)))
+
 let dead_pid () =
   (* spawn a real process and wait for it: its pid is guaranteed dead
      and recently allocated, so the liveness probe must say "gone" *)
@@ -523,6 +610,10 @@ let test_parallel_matches_sequential () =
 let tests =
   [ Alcotest.test_case "put/find round trip" `Quick test_roundtrip;
     Alcotest.test_case "overwrite replaces" `Quick test_overwrite;
+    Alcotest.test_case "a declared-length put equals a spooled one" `Quick
+      test_put_declared_length;
+    Alcotest.test_case "a wrong declared length installs nothing" `Quick
+      test_put_length_mismatch;
     Alcotest.test_case "truncation quarantined" `Quick test_truncation;
     Alcotest.test_case "bit flip quarantined" `Quick test_bit_flip;
     Alcotest.test_case "decoder failure quarantined" `Quick
@@ -545,6 +636,8 @@ let tests =
       test_fsck_counts_missing;
     Alcotest.test_case "fsck: dead writers' temps swept" `Quick
       test_fsck_sweeps_dead_temps;
+    Alcotest.test_case "import refuses a digest mismatch" `Quick
+      test_import_checks_digest;
     Alcotest.test_case "racing recovery converges" `Quick
       test_racing_recovery_converges;
     Alcotest.test_case "two handles in one process never share a temp name"

@@ -520,6 +520,116 @@ let test_bounded_memory_stream () =
                 (delta < 32 * 1024 * 1024)
           | _ -> (* procfs unavailable: the Gc ceiling above still held *) ()))
 
+(* --- the writer: pinned bytes, bounded allocation --------------------------------- *)
+
+(* Deterministic, and wider than one 64 Ki-row writer window in its
+   event, location and mark sections, each with a partial last window:
+   250000 events, 125132 locations, 125000 marks, 250 overflow rows,
+   13378096 bytes flat. *)
+let spanning_trace () =
+  let n = 250_000 in
+  let t = Trace.create ~capacity:n () in
+  for i = 0 to n - 1 do
+    let srcs =
+      if i mod 1000 = 0 then
+        [ Loc.Reg 1; Loc.Reg 2; Loc.Freg 3; Loc.Mem (8 * i); Loc.Reg 5 ]
+      else [ Loc.Reg ((i mod 6) + 1); Loc.Mem (8 * (i / 2)) ]
+    in
+    let branch =
+      if i mod 9 = 0 then Some { Trace.taken = i mod 2 = 0 } else None
+    in
+    Trace.add t
+      { Trace.pc = i mod 97;
+        op_class =
+          (if branch <> None then Opclass.Control
+           else if i mod 5 = 0 then Opclass.Load_store
+           else Opclass.Int_alu);
+        dest = (if i mod 3 = 0 then None else Some (Loc.Reg ((i mod 5) + 1)));
+        srcs; branch }
+  done;
+  Trace.set_loops t
+    [| { Loop.func = "main"; line = 7; kind = "while";
+         inductions = [ Loc.Reg 2 ]; reductions = [ Loc.Freg 3 ];
+         mem_reduction = true } |];
+  for m = 0 to (n / 2) - 1 do
+    Trace.add_mark_at t ~pos:(2 * m)
+      ~kind:(Option.get (Trace.mark_kind_of_tag (m mod 3)))
+      ~loop:0
+  done;
+  t
+
+(* The MD5 of [write_channel_flat]'s output: every workload at tiny
+   size (cc1x spans three windows), a loop-marked trace, the sample
+   trace's overflow rows and the spanning trace. A writer change that
+   moves one byte fails here. *)
+let flat_goldens =
+  [ ("cc1x", "5640277ff157e75cb35115c4b157a7c2");
+    ("doducx", "4e927fe5f418366464e20886d8fce9b3");
+    ("eqnx", "e2583009c6995601418993261a83a9db");
+    ("espx", "039bc2011019f848ee4afbb72f0fce67");
+    ("fpx", "837486d215a8c67102c6558baa0679ab");
+    ("mtxx", "bc60d4a5686f23b072679ea9fa8b1dbe");
+    ("naskx", "fab86998dfefd1698e6ed26237d2551e");
+    ("spicex", "04b18f180df2c9ba5db5e79615ff9761");
+    ("tomcx", "27c7e97709f0c31881fa18c88f78d802");
+    ("xlispx", "7ece5ab534e87033b9b983019f237267");
+    ("mtxx+marks", "7cce35d1f09956723a6953f7df8c7f44");
+    ("sample", "60031eada12b71c6ea761af4de0a33c3");
+    ("spanning", "6b7a7979cb8d4db7a4ebc197293ba4a8") ]
+
+let golden_trace name =
+  let tiny ?marks w =
+    snd (Ddg_workloads.Workload.trace ?marks w Ddg_workloads.Workload.Tiny)
+  in
+  match name with
+  | "mtxx+marks" ->
+      tiny ~marks:true (Option.get (Ddg_workloads.Registry.find "mtxx"))
+  | "sample" -> sample_trace ()
+  | "spanning" -> spanning_trace ()
+  | w -> tiny (Option.get (Ddg_workloads.Registry.find w))
+
+let test_flat_goldens () =
+  Alcotest.(check (list string)) "every workload pinned"
+    Ddg_workloads.Registry.names
+    (List.filter
+       (fun name -> List.mem name Ddg_workloads.Registry.names)
+       (List.map fst flat_goldens));
+  List.iter
+    (fun (name, digest) ->
+      let t = golden_trace name in
+      with_temp_file (fun path ->
+          Trace_io.write_file_flat path t;
+          Alcotest.(check string) (name ^ " flat bytes") digest
+            (Digest.to_hex (Digest.file path));
+          Alcotest.(check int) (name ^ " flat length")
+            (Trace_io.flat_length t) (Unix.stat path).Unix.st_size))
+    flat_goldens
+
+(* A trace put allocates about the writer's one window, 65536 8-byte
+   rows, not the trace: no whole-trace buffer on the way to the store
+   (537 KB measured for this 13.4 MB trace). *)
+let test_put_allocation_bounded () =
+  let window = float_of_int (8 * 65536) in
+  let t = spanning_trace () in
+  with_store (fun store ->
+      let before = Gc.allocated_bytes () in
+      Store.put store ~kind:"trace" ~key:"zc/spanning"
+        ~length:(Trace_io.flat_length t) (fun oc ->
+          Trace_io.write_channel_flat oc t);
+      let grown = Gc.allocated_bytes () -. before in
+      let bytes = Trace_io.flat_length t in
+      Alcotest.(check bool)
+        (Printf.sprintf "%.0f bytes allocated to put a %d-byte trace" grown
+           bytes)
+        true
+        (bytes > 10_000_000 && grown < 2. *. window);
+      match Store.find_view store ~kind:"trace" ~key:"zc/spanning" with
+      | None -> Alcotest.fail "the put trace is not in the store"
+      | Some v ->
+          Alcotest.(check bool) "and maps back unchanged" true
+            (equal_traces t
+               (Trace_io.map_file ~pos:v.Store.view_pos v.Store.view_path)))
+
 (* --- protocol: chunked fetch-through ------------------------------------------- *)
 
 let test_forward_range_frames_roundtrip () =
@@ -663,6 +773,10 @@ let tests =
       test_view_survives_fsck;
     Alcotest.test_case "streamed analysis stays in bounded memory" `Quick
       test_bounded_memory_stream;
+    Alcotest.test_case "flat writer bytes match the recorded digests" `Quick
+      test_flat_goldens;
+    Alcotest.test_case "a trace put allocates one window, not the trace"
+      `Quick test_put_allocation_bounded;
     Alcotest.test_case "forward-range frames round-trip" `Quick
       test_forward_range_frames_roundtrip;
     Alcotest.test_case "chunked fetch-through serves exact bytes" `Quick
